@@ -1,0 +1,34 @@
+"""Microbench: ``balanced_kmeans`` at the two ends of the halving ladder.
+
+The placement is ``repro.perf.make_uniform_sinks(14000, 0)``, the
+uniform 14k-sink design.  Its level-0 partition halves ``max_size``
+32 -> 16 -> 8 -> 4 while the worst cluster overruns the cap budget, so
+``max_size`` 32 (438 clusters) and 4 (3500 clusters, every one filled
+to capacity) bracket the cost of one partition call.  Run with::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_partition.py
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.partition import balanced_kmeans
+from repro.perf import make_uniform_sinks
+
+
+@pytest.fixture(scope="module")
+def points():
+    sinks, _ = make_uniform_sinks(14000, 0)
+    return [s.location for s in sinks]
+
+
+@pytest.mark.parametrize("max_size", [32, 4])
+def test_balanced_kmeans_uniform_14k(benchmark, points, max_size):
+    centers, labels = benchmark.pedantic(
+        balanced_kmeans, args=(points,),
+        kwargs={"max_size": max_size, "seed": 0},
+        rounds=3, iterations=1,
+    )
+    assert len(centers) == -(-len(points) // max_size)
+    assert max(Counter(labels).values()) <= max_size

@@ -465,6 +465,7 @@ class HierarchicalCTS:
             )
             if worst <= cons.max_cap or max_size <= 2:
                 break
+            METRICS.inc("partition.resplit")
             max_size = max(2, max_size // 2)
 
         sa_cfg = self._sa_config(level)

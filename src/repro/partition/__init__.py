@@ -4,7 +4,9 @@
   deterministic) followed by capacity-respecting assignment;
 * :mod:`mcf` — a from-scratch successive-shortest-path min-cost-flow
   solver used for exact balanced assignment on small instances (with a
-  vectorised regret-greedy fallback at scale — see DESIGN.md);
+  regret-greedy fallback at scale — see DESIGN.md);
+* :mod:`nearest` — exact kd-tree nearest-center candidates shared by the
+  Lloyd labelling and the regret-greedy tier;
 * :mod:`clustering` — the latency/capacitance-adaptive clustering cost
   Cost^k = p * var(Cap^k) + q * var(T^k) and a silhouette score;
 * :mod:`annealing` — the simulated-annealing refinement with convex-hull

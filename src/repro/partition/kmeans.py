@@ -13,32 +13,38 @@ import math
 import numpy as np
 
 from repro.geometry import Point
+from repro.obs.metrics import METRICS
 from repro.partition.mcf import balanced_assign
+from repro.partition.nearest import dense_row, nearest_candidates
 
-#: Upper bound on the elements of any point x center distance block.
-#: Lloyd iterations chunk the point rows so peak memory stays ~tens of
-#: MB no matter how large n * k grows (100k sinks x 3k+ centers would
-#: otherwise materialise multi-GB matrices per iteration).
-_CHUNK_ELEMS = 4_000_000
+#: Nearest centers fetched per point for Lloyd labelling.  Two settle
+#: almost every row; the third lets a two-way tie at the minimum resolve
+#: inside the window instead of through the dense row.
+_LABEL_CANDIDATES = 3
 
 
 def _nearest_center_labels(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Row-chunked argmin over Manhattan distances to ``centers``.
+    """Index of each point's nearest center (Manhattan), lowest on ties.
 
-    Chunking over point rows is result-invariant: each row's argmin is
-    independent, so the labels are bitwise identical to the one-shot
-    n x k matrix evaluation.
+    Exactly ``argmin`` over the dense n x k distance matrix, without
+    building it: the kd candidates carry the same distance values, so a
+    row whose minimum is provably below every non-candidate takes the
+    lowest candidate index at that minimum.  Rows where that cannot be
+    proven (ties or near-ties reaching the window edge) run the dense
+    argmin for that row alone.
     """
-    n, k = len(coords), len(centers)
-    labels = np.empty(n, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        d = (
-            np.abs(coords[lo:hi, None, 0] - centers[None, :, 0])
-            + np.abs(coords[lo:hi, None, 1] - centers[None, :, 1])
-        )
-        labels[lo:hi] = np.argmin(d, axis=1)
+    k = len(centers)
+    cx, cy = centers[:, 0], centers[:, 1]
+    idx, dist, limit = nearest_candidates(
+        coords[:, 0], coords[:, 1], cx, cy, _LABEL_CANDIDATES
+    )
+    best = dist[:, 0]
+    labels = np.where(dist == best[:, None], idx, k).min(axis=1)
+    undecided = np.flatnonzero(best >= limit)
+    for i in undecided.tolist():
+        labels[i] = np.argmin(dense_row(coords[i, 0], coords[i, 1], cx, cy))
+    if undecided.size:
+        METRICS.inc("partition.exact_fallback_rows", undecided.size)
     return labels
 
 
@@ -48,19 +54,21 @@ def _group_medians(
     """Coordinate-wise median of each label group; empty groups keep
     their previous center.
 
-    One stable argsort groups all members, so the whole recenter step is
-    O(n log n) instead of the O(n * k) of masking per cluster.  Each
-    group's median sees the same member multiset as ``coords[labels == j]``
-    would, hence the same value bit for bit.
+    One lexsort per axis orders every group's values at once, and the
+    median is the mean of the two middle order statistics (one, twice,
+    for odd sizes) — the same ``(a + b) / 2`` ``np.median`` evaluates,
+    so each value matches ``np.median(coords[labels == j], axis=0)`` bit
+    for bit.
     """
-    k = len(centers)
     out = centers.copy()
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(k + 1))
-    for j in range(k):
-        lo, hi = bounds[j], bounds[j + 1]
-        if hi > lo:
-            out[j] = np.median(coords[order[lo:hi]], axis=0)
+    counts = np.bincount(labels, minlength=len(centers))
+    present = np.flatnonzero(counts)
+    start = np.cumsum(counts)[present] - counts[present]
+    lo = start + (counts[present] - 1) // 2
+    hi = start + counts[present] // 2
+    for axis in (0, 1):
+        values = coords[np.lexsort((coords[:, axis], labels)), axis]
+        out[present, axis] = (values[lo] + values[hi]) / 2
     return out
 
 
@@ -98,8 +106,9 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = len(coords)
     centers = np.empty((k, 2))
+    x, y = coords[:, 0].copy(), coords[:, 1].copy()
     centers[0] = coords[rng.integers(n)]
-    closest = np.abs(coords - centers[0]).sum(axis=1)
+    closest = np.abs(x - centers[0, 0]) + np.abs(y - centers[0, 1])
     for j in range(1, k):
         weights = closest * closest
         total = weights.sum()
@@ -107,7 +116,8 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
             centers[j] = coords[rng.integers(n)]
         else:
             centers[j] = coords[rng.choice(n, p=weights / total)]
-        closest = np.minimum(closest, np.abs(coords - centers[j]).sum(axis=1))
+        np.minimum(closest, np.abs(x - centers[j, 0]) + np.abs(y - centers[j, 1]),
+                   out=closest)
     return centers
 
 

@@ -7,10 +7,11 @@ assignment instances the hierarchical flow produces at its upper levels
 (hundreds of points, tens of clusters).
 
 ``balanced_assign`` is the user-facing entry point: assign points to
-capacitated centers at minimum total distance.  For large instances it
-restricts each point to its nearest candidate centers (re-widening on
-infeasibility) and falls back to a vectorised regret-greedy heuristic
-above ``exact_limit`` arcs, as recorded in DESIGN.md.
+capacitated centers at minimum total distance.  Small instances run
+this solver on nearest-candidate arcs (re-widening on infeasibility) or
+scipy's exact rectangular assignment; beyond ``lsa_limit`` a
+regret-greedy heuristic claims centers from kd-tree candidates, as
+recorded in DESIGN.md.
 """
 
 from __future__ import annotations
@@ -18,31 +19,21 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.geometry import Point
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
+from repro.partition.nearest import dense_row, nearest_candidates
 
 _LOG = get_logger("partition")
 
-# Imported at module scope so the (expensive) scipy load is paid at
-# startup, not inside the first HierarchicalCTS.run; gated so the
-# from-scratch solver and regret-greedy tiers still work without scipy.
-try:
-    from scipy.optimize import linear_sum_assignment
-except ImportError:  # pragma: no cover - scipy is a standard dependency
-    linear_sum_assignment = None
-
 _INF = float("inf")
 
-#: Above this many point x center matrix elements, ``balanced_assign``
-#: streams distances in row blocks instead of materialising the full
-#: matrix (and its construction temporaries) — the regret-greedy tier
-#: is the only one reachable at that size anyway.
-_DENSE_LIMIT = 50_000_000
-
-#: Row-block size (in matrix elements) for the streamed paths.
-_CHUNK_ELEMS = 4_000_000
+#: Nearest centers fetched per point for the regret-greedy claims.  Rows
+#: whose free centers all lie beyond the window (late points under tight
+#: capacity) resolve through their dense row.
+_CLAIM_CANDIDATES = 16
 
 
 class _Graph:
@@ -174,7 +165,8 @@ def balanced_assign(
     * exact rectangular assignment (scipy's Jonker-Volgenant) with
       capacity-duplicated center columns while the expanded cost matrix
       fits ``lsa_limit`` entries;
-    * vectorised regret-greedy beyond that (documented in DESIGN.md).
+    * regret-greedy on kd-tree candidates beyond that (documented in
+      DESIGN.md); it never builds the n x k distance matrix.
     """
     n, k = len(points), len(centers)
     if n == 0:
@@ -187,44 +179,30 @@ def balanced_assign(
     py = np.array([p.y for p in points])
     cx = np.array([c.x for c in centers])
     cy = np.array([c.y for c in centers])
-    if n * k > _DENSE_LIMIT:
-        # Only the regret tier is reachable here, provably: the MCF
-        # tier needs n * cand <= exact_limit (so n <= 800 and
-        # n * k <= 640k with k <= n), and the LSA tier needs
-        # n * k * capacity <= lsa_limit < 2 * _DENSE_LIMIT.  Skipping
-        # the full n x k matrix (whose elementwise construction peaks
-        # at ~3 copies) keeps 100k-sink instances out of OOM territory.
-        _LOG.debug("balanced_assign: %d x %d beyond dense limit; "
-                   "streamed regret-greedy", n, k)
-        METRICS.inc("partition.assign_regret_greedy")
-        return _regret_greedy_streamed(px, py, cx, cy, capacity)
-    dists = np.abs(px[:, None] - cx[None, :]) + np.abs(py[:, None] - cy[None, :])
-
     cand = min(max(candidates, 1), k)
-    while n * cand <= exact_limit:
-        assignment = _assign_mcf(dists, capacity, cand)
-        if assignment is not None:
-            METRICS.inc("partition.assign_mcf")
-            return assignment
-        METRICS.inc("partition.assign_mcf_widened")
-        if cand == k:
-            raise AssertionError("full candidate set must be feasible")
-        cand = min(k, cand * 2)
-    if n * k * capacity <= lsa_limit:
-        return _assign_lsa(dists, capacity)
+    if n * cand <= exact_limit or n * k * capacity <= lsa_limit:
+        dists = (np.abs(px[:, None] - cx[None, :])
+                 + np.abs(py[:, None] - cy[None, :]))
+        while n * cand <= exact_limit:
+            assignment = _assign_mcf(dists, capacity, cand)
+            if assignment is not None:
+                METRICS.inc("partition.assign_mcf")
+                return assignment
+            METRICS.inc("partition.assign_mcf_widened")
+            if cand == k:
+                raise AssertionError("full candidate set must be feasible")
+            cand = min(k, cand * 2)
+        if n * k * capacity <= lsa_limit:
+            return _assign_lsa(dists, capacity)
     _LOG.debug("balanced_assign: %d x %d beyond LSA limit; regret-greedy",
                n, k)
     METRICS.inc("partition.assign_regret_greedy")
-    return _regret_greedy(dists, capacity)
+    return _regret_greedy_kd(px, py, cx, cy, capacity)
 
 
 def _assign_lsa(dists: np.ndarray, capacity: int) -> list[int]:
     """Exact capacitated assignment via rectangular LSA on duplicated
     center columns."""
-    if linear_sum_assignment is None:
-        _LOG.warning("scipy unavailable; LSA tier degraded to regret-greedy")
-        METRICS.inc("partition.assign_regret_greedy")
-        return _regret_greedy(dists, capacity)
     METRICS.inc("partition.assign_lsa")
     expanded = np.repeat(dists, capacity, axis=1)
     rows, cols = linear_sum_assignment(expanded)
@@ -269,83 +247,81 @@ def _assign_mcf(
     return assignment
 
 
-def _regret_greedy(dists: np.ndarray, capacity: int) -> list[int]:
-    """Vectorised regret-ordered greedy with overflow spill.
-
-    Points with the most to lose (largest second-best minus best distance)
-    claim their nearest center first; full centers are masked out as they
-    saturate.
-    """
-    n, k = dists.shape
-    # row-chunked argsort: each row is sorted independently, so chunking
-    # changes nothing about the result while bounding the int64 scratch;
-    # int32 columns halve the resident candidate table (k << 2^31)
-    order_all = np.empty((n, k), dtype=np.int32)
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        order_all[lo:hi] = np.argsort(dists[lo:hi], axis=1)
-    rows = np.arange(n)
-    best = dists[rows, order_all[:, 0]]
-    second = dists[rows, order_all[:, min(1, k - 1)]]
-    return _regret_scan(order_all, best, second, capacity)
-
-
-def _regret_greedy_streamed(
+def _regret_greedy_kd(
     px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
     capacity: int,
 ) -> list[int]:
-    """Regret-greedy without ever materialising the full distance
-    matrix: each row block's distances are computed, argsorted, and
-    discarded.  Per-row results (candidate order, best/second distance)
-    are bitwise what :func:`_regret_greedy` computes from the dense
-    matrix, so the assignment is identical wherever both are feasible.
+    """Regret-ordered greedy with overflow spill, from kd candidates.
+
+    Points with the most to lose (largest second-best minus best
+    distance) claim first, each taking the first non-full center in its
+    distance order (``np.argsort`` of its row); full centers are masked
+    out as they saturate.  The result is bit for bit what that rule
+    gives on the dense n x k matrix, which is never built:
+
+    * best/second come from the candidates whenever the second is
+      provably below every non-candidate;
+    * a claim is decided by the candidates when the first free one is
+      provably nearer than every non-candidate and no other free center
+      ties it (equal distances have no defined argsort order).
+
+    Any other row (a near-tie at the window edge, a tie between free
+    centers, or a window whose centers are all full) sorts its dense
+    row once, exactly as the dense kernel would.
     """
     n, k = len(px), len(cx)
-    order_all = np.empty((n, k), dtype=np.int32)
-    best = np.empty(n)
-    second = np.empty(n)
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        d = (np.abs(px[lo:hi, None] - cx[None, :])
-             + np.abs(py[lo:hi, None] - cy[None, :]))
-        o = np.argsort(d, axis=1)
-        order_all[lo:hi] = o
-        r = np.arange(hi - lo)
-        best[lo:hi] = d[r, o[:, 0]]
-        second[lo:hi] = d[r, o[:, min(1, k - 1)]]
-    return _regret_scan(order_all, best, second, capacity)
+    idx, dist, limit = nearest_candidates(px, py, cx, cy, _CLAIM_CANDIDATES)
+    second_col = min(1, k - 1)
+    best = dist[:, 0].copy()
+    second = dist[:, second_col].copy()
+    dense_orders: dict[int, np.ndarray] = {}
 
+    def dense_order(i: int) -> tuple[np.ndarray, np.ndarray]:
+        row = dense_row(px[i], py[i], cx, cy)
+        order = dense_orders[i] = np.argsort(row)
+        return row, order
 
-def _regret_scan(
-    order_all: np.ndarray, best: np.ndarray, second: np.ndarray,
-    capacity: int,
-) -> list[int]:
-    """The greedy claim loop both regret-greedy variants share.
-
-    Each point takes the first non-full center in its candidate order.
-    The scalar scan covers the short prefix that almost always hits;
-    rows that exhaust it (late points under tight capacity) fall back
-    to one vectorised first-True search over the whole row — the same
-    center the scalar scan would have reached, without the O(k) Python
-    loop.
-    """
-    n, k = order_all.shape
+    for i in np.flatnonzero(second >= limit).tolist():
+        row, order = dense_order(i)
+        best[i] = row[order[0]]
+        second[i] = row[order[second_col]]
     regret_order = np.argsort(-(second - best))
+
+    cand_idx, cand_dist, cand_limit = idx.tolist(), dist.tolist(), limit.tolist()
     remaining = np.full(k, capacity, dtype=np.int64)
     assignment = [-1] * n
-    for i in regret_order:
-        row = order_all[i]
-        chosen = -1
-        for j in row[:64]:
-            if remaining[j] > 0:
-                chosen = int(j)
-                break
+    for i in regret_order.tolist():
+        order = dense_orders.get(i)
+        chosen = -1 if order is not None else _claim_from_window(
+            cand_idx[i], cand_dist[i], cand_limit[i], remaining)
         if chosen < 0:
-            # feasibility (k * capacity >= n) guarantees a True exists
-            chosen = int(row[int(np.argmax(remaining[row] > 0))])
-        assignment[int(i)] = chosen
+            if order is None:
+                _, order = dense_order(i)
+            # feasibility (k * capacity >= n) guarantees a free center
+            free = remaining[order] > 0
+            chosen = int(order[int(np.argmax(free))])
+        assignment[i] = chosen
         remaining[chosen] -= 1
-    assert all(a >= 0 for a in assignment)
+    if dense_orders:
+        METRICS.inc("partition.exact_fallback_rows", len(dense_orders))
     return assignment
+
+
+def _claim_from_window(
+    row_idx: list[int], row_dist: list[float], limit: float,
+    remaining: np.ndarray,
+) -> int:
+    """The row's first free candidate when the window decides the
+    claim, else -1."""
+    for p, j in enumerate(row_idx):
+        if remaining[j] > 0:
+            d = row_dist[p]
+            if d >= limit:
+                return -1  # a non-candidate center may be as near
+            for q in range(p + 1, len(row_idx)):
+                if row_dist[q] != d:
+                    break
+                if remaining[row_idx[q]] > 0:
+                    return -1  # free centers tie: argsort order decides
+            return j
+    return -1  # every candidate is full

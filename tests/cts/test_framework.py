@@ -191,6 +191,28 @@ def test_forced_split_stats_describe_used_clusters():
     assert level0.sa_cost_before == level0.sa_cost_after == expected
 
 
+def test_partition_resplit_counts_each_halving():
+    from repro.flowguard.diagnostics import FlowDiagnostics
+    from repro.obs import METRICS
+    from repro.partition import balanced_kmeans
+
+    sizes = []
+
+    def partitioner(points, max_size, seed):
+        sizes.append(max_size)
+        return balanced_kmeans(points, max_size=max_size, seed=seed)
+
+    # a 1 fF cap budget no cluster can meet: the loop halves to the floor
+    flow = HierarchicalCTS(
+        constraints=Constraints(max_cap=1.0),
+        config=FlowConfig(partitioner=partitioner, use_sa=False),
+    )
+    METRICS.reset()
+    flow._partition_inner(make_sinks(100), 0, FlowDiagnostics())
+    assert sizes == [32, 16, 8, 4, 2]
+    assert METRICS.counter("partition.resplit") == 4
+
+
 def test_top_net_buffers_surface_on_result_and_metrics():
     from repro.obs import METRICS
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, manhattan
+from repro.obs.metrics import METRICS
 from repro.partition import balanced_assign, min_cost_flow
 
 
@@ -100,7 +101,10 @@ def test_balanced_assign_greedy_fallback():
     rng = random.Random(2)
     points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(200)]
     centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10)]
-    assignment = balanced_assign(points, centers, capacity=20, exact_limit=10)
+    before = METRICS.counter("partition.assign_regret_greedy")
+    assignment = balanced_assign(points, centers, capacity=20, exact_limit=10,
+                                 lsa_limit=0)
+    assert METRICS.counter("partition.assign_regret_greedy") == before + 1
     counts = [assignment.count(j) for j in range(10)]
     assert max(counts) <= 20 and sum(counts) == 200
 
