@@ -82,7 +82,7 @@ def test_perf_trajectory(once):
         assert rec["num_buffers"] > 0
         # schema v2: per-kind event breakdown and the obs metrics snapshot
         assert rec["flow_events"]["total"] >= 0
-        assert rec["metrics"]["counters"]["salt.batch.evals"] > 0
+        assert rec["metrics"]["counters"]["salt.grid.queries"] > 0
     # near-linear growth: 10x sinks must cost far less than 100x time
     # (measured on the serial points so pool overhead cannot distort it)
     serial_records = [r for r in records if r["jobs"] == 1] or records

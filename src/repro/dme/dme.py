@@ -92,9 +92,6 @@ def build_merge_tree(
             )
             spec_of[id(node)] = spec
             n_merges += 1
-            METRICS.observe(
-                "dme.merge_region_area", spec.region.width * spec.region.height
-            )
     METRICS.inc("dme.merges", n_merges)
     return spec_of[id(topo)]
 

@@ -14,49 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.geometry import Point, manhattan
 from repro.netlist.sink import Sink
 from repro.tech.buffer_library import BufferType
-
-
-@dataclass(slots=True, frozen=True)
-class TreeArrays:
-    """Flat structure-of-arrays snapshot of a :class:`RoutedTree`.
-
-    Rows follow ascending node-id order (node ids are allocated
-    monotonically, so this is also the tree's dict iteration order).
-    ``parent_row`` holds row indices, not node ids (-1 at the root) —
-    note a parent's *row* may exceed its child's when refinement splices
-    a late-created Steiner node above an early sink, so consumers must
-    order traversals by ``depth``, never by row.  The view is immutable
-    and cached by content version: any mutation of the tree (structure,
-    coordinates, detours, buffers) invalidates it.
-    """
-
-    ids: np.ndarray          # int64 node ids, ascending
-    row_of: dict             # node id -> row index
-    x: np.ndarray            # float64 coordinates
-    y: np.ndarray
-    parent_row: np.ndarray   # int64, -1 at the root
-    child_slot: np.ndarray   # int64 position in the parent's child list
-    detour: np.ndarray       # float64 extra wirelength to the parent
-    edge_len: np.ndarray     # float64 manhattan + detour (0 at the root)
-    depth: np.ndarray        # int64 edges from the root
-    tin: np.ndarray          # int64 preorder interval numbering
-    tout: np.ndarray
-    sink_mask: np.ndarray    # bool
-    sink_cap: np.ndarray     # float64 (0 where not a sink)
-    subtree_delay: np.ndarray  # float64 (0 where not a sink)
-    buffer_mask: np.ndarray  # bool
-    buf_input_cap: np.ndarray  # float64 (0 where not buffered)
-    buf_omega_s: np.ndarray
-    buf_omega_c: np.ndarray
-    buf_omega_i: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass(slots=True)
@@ -96,12 +56,9 @@ class RoutedTree:
         self._nodes: dict[int, TreeNode] = {}
         self._next_id = 0
         self._structure_version = 0
-        self._content_version = 0
         self._intervals_version = -1
         self._tin: dict[int, int] = {}
         self._tout: dict[int, int] = {}
-        self._arrays: TreeArrays | None = None
-        self._arrays_version = -1
         self._root = self._new_node(root_location)
 
     # ------------------------------------------------------------------
@@ -132,12 +89,10 @@ class RoutedTree:
         node.detour = detour
         self._nodes[parent].children.append(nid)
         self._structure_version += 1
-        self._content_version += 1
         return nid
 
     def set_buffer(self, nid: int, buffer: BufferType | None) -> None:
         self._nodes[nid].buffer = buffer
-        self._content_version += 1
 
     def set_detour(self, nid: int, detour: float) -> None:
         if detour < 0:
@@ -145,11 +100,9 @@ class RoutedTree:
         if nid == self._root:
             raise ValueError("root has no parent edge")
         self._nodes[nid].detour = detour
-        self._content_version += 1
 
     def move_node(self, nid: int, location: Point) -> None:
         self._nodes[nid].location = location
-        self._content_version += 1
 
     def reparent(self, nid: int, new_parent: int, detour: float = 0.0) -> None:
         """Detach ``nid`` from its parent and attach under ``new_parent``."""
@@ -164,7 +117,6 @@ class RoutedTree:
         node.detour = detour
         self._nodes[new_parent].children.append(nid)
         self._structure_version += 1
-        self._content_version += 1
 
     def _would_create_cycle(self, nid: int, new_parent: int) -> bool:
         cur: int | None = new_parent
@@ -194,7 +146,6 @@ class RoutedTree:
             self._nodes[parent].children.append(child_id)
         del self._nodes[nid]
         self._structure_version += 1
-        self._content_version += 1
 
     # ------------------------------------------------------------------
     # Access
@@ -250,11 +201,6 @@ class RoutedTree:
     # ------------------------------------------------------------------
     # Preorder interval (Euler-tour) numbering
     # ------------------------------------------------------------------
-    @property
-    def structure_version(self) -> int:
-        """Monotonic counter bumped by every structural mutation."""
-        return self._structure_version
-
     def preorder_intervals(self) -> tuple[dict[int, int], dict[int, int]]:
         """``(tin, tout)`` preorder interval numbering of the tree.
 
@@ -280,112 +226,6 @@ class RoutedTree:
             self._tout = {nid: tin[nid] + size[nid] for nid in order}
             self._intervals_version = self._structure_version
         return self._tin, self._tout
-
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True when ``b`` is in ``a``'s subtree (``a`` counts as its own
-        ancestor).  O(1) between structural mutations."""
-        tin, tout = self.preorder_intervals()
-        return tin[a] <= tin[b] < tout[a]
-
-    # ------------------------------------------------------------------
-    # Structure-of-arrays view
-    # ------------------------------------------------------------------
-    @property
-    def content_version(self) -> int:
-        """Monotonic counter bumped by *every* mutation — structural
-        (add/reparent/splice) and content-only (move_node, set_detour,
-        set_buffer).  Anything caching a :class:`TreeArrays` view keys
-        on this, not on :attr:`structure_version`, which coordinate and
-        annotation changes deliberately do not bump."""
-        return self._content_version
-
-    def arrays(self) -> TreeArrays:
-        """Cached flat SoA view of the tree (see :class:`TreeArrays`).
-
-        Built in one O(n) pass and reused until the next mutation.  The
-        per-edge length column uses the same arithmetic as
-        :meth:`edge_length` — ``(|dx| + |dy|) + detour`` elementwise —
-        so scalar and vectorised consumers see bit-identical floats.
-        """
-        if self._arrays is not None and \
-                self._arrays_version == self._content_version:
-            return self._arrays
-        nodes = self._nodes
-        n = len(nodes)
-        ids_list = list(nodes)
-        row_of = {nid: i for i, nid in enumerate(ids_list)}
-        x = np.empty(n)
-        y = np.empty(n)
-        parent_row = np.empty(n, dtype=np.int64)
-        child_slot = np.zeros(n, dtype=np.int64)
-        detour = np.empty(n)
-        depth = np.zeros(n, dtype=np.int64)
-        tin_a = np.empty(n, dtype=np.int64)
-        tout_a = np.empty(n, dtype=np.int64)
-        sink_mask = np.zeros(n, dtype=bool)
-        sink_cap = np.zeros(n)
-        subtree_delay = np.zeros(n)
-        buffer_mask = np.zeros(n, dtype=bool)
-        buf_input_cap = np.zeros(n)
-        buf_omega_s = np.zeros(n)
-        buf_omega_c = np.zeros(n)
-        buf_omega_i = np.zeros(n)
-        tin, tout = self.preorder_intervals()
-        for i, nid in enumerate(ids_list):
-            node = nodes[nid]
-            loc = node.location
-            x[i] = loc.x
-            y[i] = loc.y
-            parent_row[i] = -1 if node.parent is None else row_of[node.parent]
-            detour[i] = node.detour
-            tin_a[i] = tin[nid]
-            tout_a[i] = tout[nid]
-            for slot, cid in enumerate(node.children):
-                child_slot[row_of[cid]] = slot
-            if node.sink is not None:
-                sink_mask[i] = True
-                sink_cap[i] = node.sink.cap
-                subtree_delay[i] = node.sink.subtree_delay
-            if node.buffer is not None:
-                buf = node.buffer
-                buffer_mask[i] = True
-                buf_input_cap[i] = buf.input_cap
-                buf_omega_s[i] = buf.omega_s
-                buf_omega_c[i] = buf.omega_c
-                buf_omega_i[i] = buf.omega_i
-        for nid in self.preorder():
-            parent = nodes[nid].parent
-            if parent is not None:
-                depth[row_of[nid]] = depth[row_of[parent]] + 1
-        root_row = row_of[self._root]
-        has_parent = parent_row >= 0
-        px = x[parent_row]
-        py = y[parent_row]
-        edge_len = (np.abs(x - px) + np.abs(y - py)) + detour
-        edge_len[~has_parent] = 0.0
-        arrays = TreeArrays(
-            ids=np.array(ids_list, dtype=np.int64),
-            row_of=row_of,
-            x=x, y=y,
-            parent_row=parent_row,
-            child_slot=child_slot,
-            detour=detour,
-            edge_len=edge_len,
-            depth=depth,
-            tin=tin_a, tout=tout_a,
-            sink_mask=sink_mask,
-            sink_cap=sink_cap,
-            subtree_delay=subtree_delay,
-            buffer_mask=buffer_mask,
-            buf_input_cap=buf_input_cap,
-            buf_omega_s=buf_omega_s,
-            buf_omega_c=buf_omega_c,
-            buf_omega_i=buf_omega_i,
-        )
-        assert parent_row[root_row] == -1
-        self._arrays = arrays
-        self._arrays_version = self._content_version
-        return arrays
 
     # ------------------------------------------------------------------
     # Metrics
@@ -459,12 +299,9 @@ class RoutedTree:
         clone._next_id = self._next_id
         clone._root = self._root
         clone._structure_version = 0
-        clone._content_version = 0
         clone._intervals_version = -1
         clone._tin = {}
         clone._tout = {}
-        clone._arrays = None
-        clone._arrays_version = -1
         clone._nodes = {}
         for nid, node in self._nodes.items():
             clone._nodes[nid] = TreeNode(

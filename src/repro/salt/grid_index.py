@@ -23,20 +23,11 @@ cost of pathological long diagonals without losing exactness.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.netlist.tree import RoutedTree
 
 #: Insertion cap: edges covering more cells than this go on the
 #: always-checked oversize list instead of being replicated per cell.
 _OVERSIZE_CELLS = 64
-
-#: Probe batches at least this large are distance-filtered in one numpy
-#: pass instead of per candidate; below it, array setup costs more than
-#: the scalar loop (measured crossover is in the hundreds — building
-#: the boxes ndarray from the probe list is ~15us alone, while the
-#: scalar loop filters a few dozen candidates in single-digit us).
-_BATCH_FILTER_MIN = 256
 
 
 class EdgeGridIndex:
@@ -156,23 +147,13 @@ class EdgeGridIndex:
                 continue
             seen.add(cid)
             probe.append(cid)
-        if len(probe) >= _BATCH_FILTER_MIN:
-            # one vectorised distance pass over the whole probe batch;
-            # same dx+dy lower bound per candidate as the scalar loop
-            boxes = np.array([bboxes[cid] for cid in probe])
-            dx = np.maximum(np.maximum(boxes[:, 0] - vx, vx - boxes[:, 2]),
-                            0.0)
-            dy = np.maximum(np.maximum(boxes[:, 1] - vy, vy - boxes[:, 3]),
-                            0.0)
-            out = [probe[i] for i in np.flatnonzero(dx + dy < radius)]
-        else:
-            out = []
-            for cid in probe:
-                x1, y1, x2, y2 = bboxes[cid]
-                dx = x1 - vx if x1 > vx else (vx - x2 if vx > x2 else 0.0)
-                dy = y1 - vy if y1 > vy else (vy - y2 if vy > y2 else 0.0)
-                if dx + dy < radius:
-                    out.append(cid)
+        out = []
+        for cid in probe:
+            x1, y1, x2, y2 = bboxes[cid]
+            dx = x1 - vx if x1 > vx else (vx - x2 if vx > x2 else 0.0)
+            dy = y1 - vy if y1 > vy else (vy - y2 if vy > y2 else 0.0)
+            if dx + dy < radius:
+                out.append(cid)
         self.n_probed += len(seen)
         self.n_kept += len(out)
         out.sort()

@@ -17,16 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.netlist.tree import RoutedTree
-from repro.obs.metrics import METRICS
 from repro.tech.technology import LN9, Technology
-
-#: Counters that prove the level-batched analysis actually ran; the
-#: hot-path guard test (tests/core/test_batched_hot_path_guard.py)
-#: fails if a traced flow leaves any of them at zero.
-BATCH_COUNTERS = ("timing.batch.nodes", "timing.batch.levels")
 
 
 @dataclass(slots=True)
@@ -63,138 +55,11 @@ class ElmoreAnalyzer:
 
     # ------------------------------------------------------------------
     def analyze(self, tree: RoutedTree) -> TimingReport:
-        """Level-batched array analysis (see docs/ALGORITHMS.md).
-
-        Bit-identical to :meth:`analyze_reference` — the property suite
-        in ``tests/timing/test_elmore_batched_property.py`` enforces it.
-        Degenerate chain-shaped trees (more levels than a quarter of the
-        nodes) fall back to the reference walk, where per-level batching
-        would only add numpy dispatch overhead.
-        """
-        if not tree.sink_node_ids():
-            raise ValueError("cannot analyze a tree with no sinks")
-        arr = tree.arrays()
-        n = len(arr)
-        n_levels = int(arr.depth.max()) + 1
-        if n_levels > max(32, n // 4):
-            return self.analyze_reference(tree)
-        return self._analyze_batched(tree, arr, n_levels)
-
-    def analyze_reference(self, tree: RoutedTree) -> TimingReport:
-        """The per-object graph walk (kept as the equivalence oracle)."""
+        """One bottom-up and one top-down walk over the node objects."""
         if not tree.sink_node_ids():
             raise ValueError("cannot analyze a tree with no sinks")
         stage_cap = self._downstream_stage_cap(tree)
         return self._propagate(tree, stage_cap)
-
-    # ------------------------------------------------------------------
-    def _analyze_batched(
-        self, tree: RoutedTree, arr, n_levels: int
-    ) -> TimingReport:
-        """Two level-batched array passes over the SoA view.
-
-        Equivalence with the reference walk hinges on two points: numpy
-        float64 elementwise arithmetic is IEEE-identical to Python
-        scalar arithmetic when the operation order matches, and the
-        bottom-up pass adds each parent's child contributions in child-
-        slot order (wire cap then subtree contribution per child),
-        exactly the association order of the reference loop.
-        """
-        n = len(arr)
-        unit_cap = self._tech.unit_cap
-        unit_res = self._tech.unit_res
-        depth = arr.depth
-        parent = arr.parent_row
-        wire_c = unit_cap * arr.edge_len
-
-        # rows grouped by level in one stable sort (rows stay ascending
-        # within each level, matching flatnonzero order)
-        by_depth = np.argsort(depth, kind="stable")
-        bounds = np.searchsorted(depth[by_depth], np.arange(n_levels + 1))
-        level_rows = [
-            by_depth[bounds[d]:bounds[d + 1]] for d in range(n_levels)
-        ]
-
-        # ---- bottom-up: in-stage downstream cap, cut at buffer inputs
-        cap = np.where(arr.sink_mask, arr.sink_cap, 0.0)
-        for d in range(n_levels - 1, 0, -1):
-            rows = level_rows[d]
-            if not len(rows):
-                continue
-            max_slot = int(arr.child_slot[rows].max())
-            for k in range(max_slot + 1):
-                sel = rows[arr.child_slot[rows] == k]
-                if not len(sel):
-                    continue
-                p = parent[sel]
-                cap[p] += wire_c[sel]
-                cap[p] += np.where(
-                    arr.buffer_mask[sel], arr.buf_input_cap[sel], cap[sel]
-                )
-
-        # ---- top-down: arrival / slew with PERI across buffer stages
-        arrival = np.zeros(n)
-        slew = np.empty(n)
-        swd = np.zeros(n)       # wire delay since the stage root
-        srs = np.empty(n)       # slew at the stage root
-        root_row = arr.row_of[tree.root]
-        slew[root_row] = self._source_slew
-        srs[root_row] = self._source_slew
-
-        def apply_buffers(rows: np.ndarray) -> None:
-            b = rows[arr.buffer_mask[rows]]
-            if not len(b):
-                return
-            load = cap[b]
-            arrival[b] += (
-                arr.buf_omega_s[b] * slew[b]
-                + arr.buf_omega_c[b] * load
-                + arr.buf_omega_i[b]
-            )
-            slew[b] = 2.0 * arr.buf_omega_c[b] * load + 0.5 * arr.buf_omega_i[b]
-            swd[b] = 0.0
-            srs[b] = slew[b]
-
-        apply_buffers(level_rows[0])
-        for d in range(1, n_levels):
-            sel = level_rows[d]
-            if not len(sel):
-                continue
-            p = parent[sel]
-            length = arr.edge_len[sel]
-            res = unit_res * length
-            downstream = np.where(arr.buffer_mask[sel],
-                                  arr.buf_input_cap[sel], cap[sel])
-            wire_delay = res * (wire_c[sel] / 2.0 + downstream) * 1e-3
-            arrival[sel] = arrival[p] + wire_delay
-            swd[sel] = swd[p] + wire_delay
-            srs[sel] = srs[p]
-            t = LN9 * swd[sel]
-            slew[sel] = np.sqrt(srs[sel] * srs[sel] + t * t)
-            apply_buffers(sel)
-
-        METRICS.inc("timing.batch.nodes", n)
-        METRICS.inc("timing.batch.levels", n_levels)
-
-        ids = arr.ids.tolist()
-        arrival_d = dict(zip(ids, arrival.tolist()))
-        slew_d = dict(zip(ids, slew.tolist()))
-        stage_load = {tree.root: float(cap[root_row])}
-        for i in np.flatnonzero(arr.buffer_mask):
-            stage_load[ids[i]] = float(cap[i])
-        sink_rows = np.flatnonzero(arr.sink_mask)
-        sink_arrival = {
-            ids[i]: float(arrival[i] + arr.subtree_delay[i])
-            for i in sink_rows
-        }
-        return TimingReport(
-            arrival=arrival_d,
-            sink_arrival=sink_arrival,
-            stage_load=stage_load,
-            slew=slew_d,
-            wirelength=tree.wirelength(),
-            total_cap=self._total_cap(tree),
-        )
 
     # ------------------------------------------------------------------
     def _downstream_stage_cap(self, tree: RoutedTree) -> dict[int, float]:

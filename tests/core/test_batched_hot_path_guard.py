@@ -1,35 +1,22 @@
-"""Guard: the hot paths must actually take their batched arms.
+"""Guard: the DME topology hot path must actually take its batched arm.
 
-Each vectorised hot-path module declares the METRICS counters its
-batched implementation bumps (``BATCH_COUNTERS``).  This test runs a
+``repro.dme.topology`` declares the METRICS counters its matrix-form
+agglomeration bumps (``BATCH_COUNTERS``).  This test runs a
 representative end-to-end flow and fails if any declared counter stayed
 at zero — which is exactly what happens when a refactor quietly reroutes
-a hot loop back onto a per-node Python walk (the scalar reference arms
-bump none of these).
+the agglomeration back onto the per-pair Python loop (the scalar
+reference arm bumps none of these).
 
-The counter names are collected from the modules themselves, not
-hard-coded here, so adding a new batched kernel means declaring its
-counters at the definition site and this guard picks it up for free.
+The counter names are collected from the module itself, not hard-coded
+here, so the guard follows the definition site.
 """
 
-import sys
-
 import repro.dme.topology
-import repro.salt.refine
-import repro.timing.elmore
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.geometry import Point
 from repro.obs.metrics import METRICS
 from repro.perf import make_uniform_sinks
 from repro.tech import Technology
-
-# resolved via sys.modules: ``repro.salt`` re-exports the ``refine``
-# *function* under the submodule's name, shadowing attribute access
-_HOT_PATH_MODULES = tuple(
-    sys.modules[name]
-    for name in ("repro.timing.elmore", "repro.salt.refine",
-                 "repro.dme.topology")
-)
 
 
 def test_flow_exercises_every_declared_batched_counter():
@@ -39,18 +26,10 @@ def test_flow_exercises_every_declared_batched_counter():
                              config=FlowConfig(sa_iterations=10))
     engine.run(sinks, Point(side / 2, side / 2))
 
-    declared = {
-        (mod.__name__, name)
-        for mod in _HOT_PATH_MODULES
-        for name in mod.BATCH_COUNTERS
-    }
-    assert declared, "hot-path modules must declare BATCH_COUNTERS"
-    dead = sorted(
-        f"{mod}:{name}"
-        for mod, name in declared
-        if METRICS.counter(name) <= 0
-    )
+    declared = repro.dme.topology.BATCH_COUNTERS
+    assert declared, "repro.dme.topology must declare BATCH_COUNTERS"
+    dead = sorted(name for name in declared if METRICS.counter(name) <= 0)
     assert not dead, (
-        "batched hot paths never ran (per-node Python loop regression?): "
-        + ", ".join(dead)
+        "batched DME agglomeration never ran (per-pair Python loop "
+        "regression?): " + ", ".join(dead)
     )

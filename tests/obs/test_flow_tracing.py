@@ -65,15 +65,11 @@ def test_stage_times_equal_span_durations(fresh_metrics):
         assert sum(diag.stage_time_s.values()) <= flow_root.duration
 
 
-def test_flow_metrics_include_batch_counters(fresh_metrics):
+def test_flow_metrics_include_grid_counters(fresh_metrics):
     _run_flow()  # metrics are always on; no tracing needed
     snap = METRICS.as_dict()
     counters = snap["counters"]
-    assert counters["salt.batch.batches"] > 0
-    assert counters["salt.batch.evals"] > 0
-    # the scalar fallback only runs for nodes dirtied mid-sweep
-    assert counters["salt.batch.fallbacks"] >= 0
-    assert counters["salt.batch.evals"] >= counters["salt.batch.batches"]
+    assert counters["salt.grid.queries"] > 0
     assert "cts.cluster_wl_um" in snap["histograms"]
 
 
@@ -95,6 +91,6 @@ def test_traced_flow_exports_valid_chrome_trace(fresh_metrics):
         _run_flow()
         payload = to_chrome_trace(TRACER, METRICS)
     assert trace_depth(payload) >= 4
-    assert payload["metrics"]["counters"]["salt.batch.evals"] > 0
+    assert payload["metrics"]["counters"]["salt.grid.queries"] > 0
     for ev in payload["traceEvents"]:
         assert ev["ph"] in ("M", "X")

@@ -75,7 +75,7 @@ def test_bench_writes_trajectory(tmp_path, capsys):
             v for k, v in rec["flow_events"].items() if k != "total"
         )
         # v2: the obs metrics snapshot rides along with every record
-        assert rec["metrics"]["counters"]["salt.batch.evals"] > 0
+        assert rec["metrics"]["counters"]["salt.grid.queries"] > 0
 
 
 def test_bench_rejects_bad_sizes(capsys):
