@@ -139,7 +139,7 @@ def _run_flow(args, tech, design):
         from repro.cts import FlowConfig
 
         config = FlowConfig(
-            jobs=getattr(args, "jobs", 1),
+            jobs=getattr(args, "jobs", 0),
             task_timeout=getattr(args, "task_timeout", 0.0),
             task_retries=getattr(args, "task_retries", 1),
             pool_rebuilds=getattr(args, "pool_rebuilds", 2),
@@ -876,10 +876,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the run as Chrome trace-event JSON (Perfetto)",
     )
     p_flow.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for per-cluster routing: 1 = serial "
-             "(default), N > 1 = pool of N, 0 = one per CPU "
-             "('ours' flow only)",
+        "--jobs", type=int, default=0,
+        help="worker processes for per-cluster routing: 0 = auto "
+             "(default: one per usable CPU, pooling only the levels "
+             "where it pays), 1 = serial, N > 1 = pool of N on every "
+             "level ('ours' flow only)",
     )
     _add_fabric_args(p_flow)
     p_flow.set_defaults(func=cmd_flow)

@@ -55,7 +55,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.netlist.sink import Sink
 from repro.netlist.tree import RoutedTree
-from repro.parallel import ClusterTask, ParallelRouter
+from repro.parallel import ClusterTask, ParallelRouter, resolve_jobs
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.partition.annealing import SAConfig, anneal_partition, total_cost
 from repro.partition.clustering import Cluster, cluster_cap
@@ -105,10 +105,12 @@ class FlowConfig:
     partitioner: Callable | None = None
     # constraint-repair passes per net before violations become residual
     repair_budget: int = 2
-    # worker processes for per-cluster routing: 1 = the serial loop
-    # (byte-identical to the pre-parallel flow), N > 1 = a pool of N,
-    # 0 or negative = one per CPU.  See docs/PARALLELISM.md.
-    jobs: int = 1
+    # worker processes for per-cluster routing: 0 or negative = auto
+    # (one per usable CPU; each level uses the pool only where the
+    # process hop pays), 1 = the serial loop (byte-identical to the
+    # pre-parallel flow), N > 1 = a pool of N on every level.  See
+    # docs/PARALLELISM.md.
+    jobs: int = 0
     # execution-fabric resilience budgets (docs/PARALLELISM.md,
     # "Failure model"); like ``jobs`` they cannot change results and
     # stay out of the canonical form / digest
@@ -237,6 +239,7 @@ class HierarchicalCTS:
         self._lib = library or default_library()
         self._constraints = constraints
         self._config = config or FlowConfig()
+        self._custom_analyzer = analyzer is not None
         self._analyzer = analyzer or ElmoreAnalyzer(
             self._tech, self._config.source_slew
         )
@@ -271,11 +274,12 @@ class HierarchicalCTS:
         levels: list[LevelStats] = []
         subtrees: dict[str, RoutedTree] = {}  # driver sink name -> its net tree
         level = 0
+        workers = self._workers()
         pool = ParallelRouter(
-            self, cfg.jobs,
+            self, workers,
             policy=FabricPolicy.from_flow_config(cfg),
             chaos=self._fabric_chaos,
-        ) if cfg.jobs != 1 else None
+        ) if workers > 1 else None
 
         try:
             while len(current) > cons.max_fanout:
@@ -325,6 +329,22 @@ class HierarchicalCTS:
             health=pool.health if pool is not None else RunHealth(),
         )
 
+    def _workers(self) -> int:
+        """Worker processes for this run's cluster pool (1 = no pool).
+
+        An explicit ``jobs`` is taken verbatim.  Auto (``jobs < 1``)
+        means one per usable CPU, except while the engine holds a user
+        callable: forked copies of a stateful router, partitioner or
+        analyzer (a fault injector, a call counter) would diverge from
+        the serial run, so auto stays serial.
+        """
+        cfg = self._config
+        if cfg.jobs < 1 and (self._custom_analyzer or any(
+                getattr(cfg, name) is not None
+                for name in _CALLABLE_FIELDS)):
+            return 1
+        return resolve_jobs(cfg.jobs)
+
     def build_chain(self, diagnostics: FlowDiagnostics) -> RouterFallbackChain:
         """The run's configured fallback chain, bound to ``diagnostics``.
 
@@ -349,7 +369,11 @@ class HierarchicalCTS:
         subtrees: dict[str, RoutedTree],
         pool: "ParallelRouter | None" = None,
     ) -> tuple[list[Cluster], float, float, list[Sink], int]:
-        """One bottom-up level: partition, then route/buffer each cluster."""
+        """One bottom-up level: partition, then route/buffer each cluster.
+
+        With a ``pool``, the clusters route in its workers; under auto
+        (``jobs < 1``) only when :func:`pool_pays` for this level.
+        """
         cons = self._constraints
         with diag.timed("partition", level=level):
             clusters, sa_before, sa_after = self._partition(
@@ -383,7 +407,10 @@ class HierarchicalCTS:
             for j, cluster in enumerate(clusters)
             if cluster.sinks
         ]
-        pooled = pool is not None and len(tasks) > 1
+        pooled = pool is not None and len(tasks) > 1 and (
+            self._config.jobs >= 1
+            or pool_pays(tasks, pool.jobs, cons.max_fanout)
+        )
         outcomes = pool.route_clusters(tasks) if pooled \
             else [None] * len(tasks)
         reasons = pool.last_failure_reasons if pooled else {}
@@ -701,6 +728,24 @@ class HierarchicalCTS:
                 except Exception:  # noqa: BLE001
                     tree.set_buffer(tree.root, self._lib.weakest)
                 return tree
+
+
+def pool_pays(tasks: list[ClusterTask], workers: int,
+              max_fanout: int) -> bool:
+    """Auto's per-level rule: route a level in the pool only where the
+    process hop pays.
+
+    The level needs at least two clusters per worker, so every worker
+    gets work to overlap with its siblings, and clusters averaging at
+    least ``max_fanout // 4`` sinks, because a net of a few sinks routes
+    in less time than its task and outcome take to cross the process
+    boundary (and its outcome would bloat the parent's memory).  Reads
+    only the level's own clusters.
+    """
+    if len(tasks) < 2 * workers:
+        return False
+    sinks = sum(len(task.sinks) for task in tasks)
+    return sinks >= len(tasks) * (max_fanout // 4)
 
 
 def graft_subtrees(

@@ -28,7 +28,9 @@ pins):
   loop would have produced them.
 
 ``jobs=1`` never constructs a pool: the framework keeps the original
-serial loop, byte-identical to the pre-parallel flow.
+serial loop, byte-identical to the pre-parallel flow.  The default,
+auto (``jobs=0``), sizes the pool by :func:`usable_cpus` and lets each
+level decide whether the process hop pays (docs/PARALLELISM.md).
 
 Failure handling climbs the :mod:`repro.resilience` degradation ladder
 (docs/PARALLELISM.md, "Failure model"):
@@ -101,30 +103,47 @@ class ClusterOutcome:
     tree: RoutedTree           # routed + buffered + repaired net tree
     buffers: int               # buffers added on this net (incl. driver)
     diagnostics: FlowDiagnostics  # task-local events + stage times
-    metrics: dict              # MetricsRegistry.raw_snapshot() of the task
+    metrics: dict | None = None  # MetricsRegistry.raw_snapshot() of the task
     spans: list[Span] = field(default_factory=list)  # captured roots
     worker: int = 0            # pid of the worker that ran the task
 
 
-def resolve_jobs(jobs: int) -> int:
-    """Effective worker count: ``jobs >= 1`` verbatim, else CPU count."""
-    if jobs >= 1:
-        return jobs
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask where the platform has one, so ``taskset`` and
+    cpuset-limited containers are honoured; the host's count otherwise.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
+def resolve_jobs(jobs: int) -> int:
+    """Effective worker count: ``jobs >= 1`` verbatim, else usable CPUs."""
+    if jobs >= 1:
+        return jobs
+    return usable_cpus()
+
+
 # ----------------------------------------------------------------------
-# Worker side
+# Worker side (shared by every pool consumer)
 # ----------------------------------------------------------------------
 # Installed once per worker process by the pool initializer.  Under the
-# preferred fork start method the engine is inherited by memory image
+# preferred fork start method the context is inherited by memory image
 # (no pickling); under spawn it must survive a pickle round-trip.
 _WORKER: dict = {}
 
 
-def _init_worker(engine, trace_enabled: bool) -> None:
-    _WORKER["engine"] = engine
+def init_worker(trace_enabled: bool, context=None) -> None:
+    """Pool initializer of every fan-out: cluster routing, sweep points
+    and served misses.
+
+    ``context`` is the per-pool state tasks read back from ``_WORKER``
+    (the engine, for cluster routing).
+    """
     _WORKER["trace"] = trace_enabled
+    _WORKER["context"] = context
     # a forked worker inherits the parent's collected spans/metrics;
     # they must not leak into (or double-count with) task snapshots
     TRACER.reset()
@@ -135,29 +154,41 @@ def _init_worker(engine, trace_enabled: bool) -> None:
     METRICS.begin_event_log()
 
 
-def _run_cluster_task(task: ClusterTask) -> ClusterOutcome:
-    """Route one cluster net inside a worker process.
+def run_captured(fn, task):
+    """Run ``fn(task)`` in a worker against task-local metrics and spans.
 
-    Mirrors one iteration of the serial loop in
-    ``HierarchicalCTS._run_level`` exactly — same engine code, same
-    ``cluster`` span — against task-local diagnostics, metrics and
-    tracer state so the outcome is order- and worker-independent.
+    ``fn`` returns an outcome with ``metrics``, ``spans`` and ``worker``
+    fields; they are filled here with the task's registry snapshot, its
+    captured span roots and this worker's pid — everything the parent
+    merges back in task order.  Resetting per task keeps an outcome
+    independent of which worker ran it and of the tasks before it.
     """
-    engine = _WORKER["engine"]
-    trace = _WORKER["trace"]
+    trace = _WORKER.get("trace", False)
     METRICS.reset()
     TRACER.reset()
     TRACER.enabled = trace
+    try:
+        outcome = fn(task)
+    finally:
+        TRACER.enabled = False
+    outcome.metrics = METRICS.raw_snapshot()
+    outcome.spans = list(TRACER.roots) if trace else []
+    outcome.worker = os.getpid()
+    return outcome
+
+
+def _route_cluster_task(task: ClusterTask) -> ClusterOutcome:
+    """Mirror one iteration of the serial loop in
+    ``HierarchicalCTS._run_level`` exactly — same engine code, same
+    ``cluster`` span — against a task-local diagnostics object."""
+    engine = _WORKER["context"]
     diag = FlowDiagnostics()
     chain = engine.build_chain(diag)
     cluster = Cluster(list(task.sinks), task.center)
-    try:
-        with TRACER.span("cluster", net=task.name, sinks=cluster.size):
-            driver, tree, nbuf = engine._route_cluster(
-                task.name, cluster, task.level, chain, diag
-            )
-    finally:
-        TRACER.enabled = False
+    with TRACER.span("cluster", net=task.name, sinks=cluster.size):
+        driver, tree, nbuf = engine._route_cluster(
+            task.name, cluster, task.level, chain, diag
+        )
     return ClusterOutcome(
         index=task.index,
         name=task.name,
@@ -165,10 +196,12 @@ def _run_cluster_task(task: ClusterTask) -> ClusterOutcome:
         tree=tree,
         buffers=nbuf,
         diagnostics=diag,
-        metrics=METRICS.raw_snapshot(),
-        spans=list(TRACER.roots) if trace else [],
-        worker=os.getpid(),
     )
+
+
+def _run_cluster_task(task: ClusterTask) -> ClusterOutcome:
+    """Route one cluster net inside a worker process."""
+    return run_captured(_route_cluster_task, task)
 
 
 def _tracked_call(sentinel_dir: str, token: str, fn, task, mode, arg):
@@ -634,12 +667,13 @@ class WorkPool:
 class ParallelRouter:
     """A per-run process pool that routes cluster tasks.
 
-    Created by :class:`~repro.cts.framework.HierarchicalCTS` when
-    ``FlowConfig.jobs != 1`` and shut down when the run ends; the pool
-    (and its forked worker context) is reused across all levels of the
-    run.  A thin cluster-shaped wrapper over :class:`WorkPool` that
-    passes the flow's :class:`~repro.resilience.FabricPolicy` and, for
-    chaos runs, a :class:`~repro.resilience.FabricChaos` through.
+    Created by :class:`~repro.cts.framework.HierarchicalCTS` when the
+    run resolves to more than one worker, and shut down when the run
+    ends; the pool (and its forked worker context) is reused across all
+    levels of the run.  A thin cluster-shaped wrapper over
+    :class:`WorkPool` that passes the flow's
+    :class:`~repro.resilience.FabricPolicy` and, for chaos runs, a
+    :class:`~repro.resilience.FabricChaos` through.
     """
 
     def __init__(
@@ -652,7 +686,7 @@ class ParallelRouter:
     ):
         trace = TRACER.enabled if trace_enabled is None else trace_enabled
         self._pool = WorkPool(
-            jobs, initializer=_init_worker, initargs=(engine, trace),
+            jobs, initializer=init_worker, initargs=(trace, engine),
             policy=policy, chaos=chaos,
         )
         self.jobs = self._pool.jobs

@@ -45,16 +45,11 @@ from dataclasses import dataclass
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.parallel import WorkPool, resolve_jobs
+from repro.parallel import WorkPool, init_worker, resolve_jobs
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.serve.queue import AdmissionQueue, AdmissionRejected
 from repro.serve.schema import ServeRequest
-from repro.sweep.runner import (
-    PointTask,
-    _init_sweep_worker,
-    _run_point_worker,
-    compute_record,
-)
+from repro.sweep.runner import PointTask, _run_point_worker, compute_record
 from repro.sweep.store import SweepStore
 
 _LOG = get_logger("serve")
@@ -102,9 +97,9 @@ def _close_inherited_sockets() -> None:
 
 
 def _init_serve_worker(trace_enabled: bool) -> None:
-    """Pool-worker initializer: socket hygiene, then the sweep setup."""
+    """Pool-worker initializer: socket hygiene, then the shared setup."""
     _close_inherited_sockets()
-    _init_sweep_worker(trace_enabled)
+    init_worker(trace_enabled)
 
 
 class DeadlineExceeded(Exception):
@@ -346,9 +341,13 @@ class CTSService:
             flight: _Flight = await self.queue.get()
             request = flight.request
             flight.emit({"event": "started", "key": request.key})
+            # the flow itself stays serial: an in-process miss runs on
+            # a dispatcher thread, where forking a cluster pool is
+            # unsafe, and a pooled miss already owns its worker — the
+            # server's concurrency is its dispatcher count
             task = PointTask(point=request.point,
                              fingerprint=request.fingerprint,
-                             key=request.key)
+                             key=request.key, effective_jobs=1)
             try:
                 record = await asyncio.to_thread(
                     self._execute, task, flight, pool,

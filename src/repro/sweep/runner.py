@@ -37,7 +37,6 @@ cached rerun trips exactly the points a cold run would have tripped.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,7 +50,7 @@ from repro.obs.clock import now
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER, Span
-from repro.parallel import WorkPool, resolve_jobs
+from repro.parallel import WorkPool, init_worker, resolve_jobs, run_captured
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.store import RESULT_SCHEMA_VERSION, SweepStore, record_key
@@ -75,8 +74,9 @@ class PointTask:
     fingerprint: str           # design content hash (cache-key half)
     key: str                   # full content-addressed record key
     inject_fault: bool = False  # deterministic per-point fault injection
-    # per-point FlowConfig.jobs override from the oversubscription
-    # clamp (sweep_jobs x point_jobs <= CPU budget); None = as-specced.
+    # per-point FlowConfig.jobs override: the oversubscription clamp's
+    # share (sweep_jobs x point_jobs <= CPU budget), or 1 for a served
+    # miss; None = as-specced.
     # Execution-only: cannot change the record (jobs is outside the
     # canonical config), so clamped and unclamped runs share cache keys.
     effective_jobs: int | None = None
@@ -223,39 +223,15 @@ def compute_record(task: PointTask) -> PointOutcome:
     )
 
 
-# ----------------------------------------------------------------------
-# Worker side (mirrors repro.parallel's cluster workers)
-# ----------------------------------------------------------------------
-_WORKER: dict = {}
-
-
-def _init_sweep_worker(trace_enabled: bool) -> None:
-    _WORKER["trace"] = trace_enabled
-    TRACER.reset()
-    TRACER.disable()
-    METRICS.reset()
-    METRICS.begin_event_log()
-
-
 def _run_point_worker(task: PointTask) -> PointOutcome:
-    """Execute one point inside a worker process.
+    """Execute one point inside a worker process (pool initializer:
+    :func:`repro.parallel.init_worker`).
 
-    Runs against task-local metrics and tracer state (reset per task)
-    and ships both home on the outcome, so the parent's registry and
-    span forest end up equivalent to a serial run's.
+    Runs against task-local metrics and tracer state and ships both
+    home on the outcome, so the parent's registry and span forest end
+    up equivalent to a serial run's.
     """
-    trace = _WORKER.get("trace", False)
-    METRICS.reset()
-    TRACER.reset()
-    TRACER.enabled = trace
-    try:
-        outcome = compute_record(task)
-    finally:
-        TRACER.enabled = False
-    outcome.metrics = METRICS.raw_snapshot()
-    outcome.spans = list(TRACER.roots) if trace else []
-    outcome.worker = os.getpid()
-    return outcome
+    return run_captured(compute_record, task)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +323,7 @@ def run_sweep(
         outcomes: list[PointOutcome | None]
         if jobs != 1 and len(tasks) > 1:
             tasks = _clamp_point_jobs(tasks, jobs)
-            with WorkPool(jobs, initializer=_init_sweep_worker,
+            with WorkPool(jobs, initializer=init_worker,
                           initargs=(TRACER.enabled,),
                           policy=policy, chaos=chaos,
                           health=health) as pool:
@@ -420,10 +396,11 @@ def _clamp_point_jobs(tasks: list[PointTask], jobs: int) -> list[PointTask]:
 
     With sweep-level fan-out active, a point asking for its own cluster
     pool would oversubscribe: ``sweep_jobs x point_jobs`` processes on
-    ``resolve_jobs(0)`` CPUs.  Each point's jobs is clamped so the
-    product stays within budget (``sweep.jobs.clamped`` counts the
-    clamped points).  Execution-only — clamped points produce the same
-    bytes as unclamped ones.
+    ``resolve_jobs(0)`` usable CPUs.  Each point's jobs is clamped so
+    the product stays within budget.  An auto point (``jobs < 1``, the
+    default) takes the allowed share silently; an explicit over-ask is
+    counted in ``sweep.jobs.clamped`` and logged once.  Execution-only
+    — clamped points produce the same bytes as unclamped ones.
     """
     pool_jobs = resolve_jobs(jobs)
     budget = resolve_jobs(0)
@@ -431,11 +408,12 @@ def _clamp_point_jobs(tasks: list[PointTask], jobs: int) -> list[PointTask]:
     clamped: list[PointTask] = []
     hits = 0
     for task in tasks:
-        requested = resolve_jobs(task.point.flow_config().jobs)
-        if requested > allowed:
+        asked = task.point.flow_config().jobs
+        if resolve_jobs(asked) > allowed:
             clamped.append(replace(task, effective_jobs=allowed))
-            hits += 1
-            METRICS.inc("sweep.jobs.clamped")
+            if asked >= 1:
+                hits += 1
+                METRICS.inc("sweep.jobs.clamped")
         else:
             clamped.append(task)
     if hits:

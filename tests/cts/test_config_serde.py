@@ -25,9 +25,9 @@ def test_execution_fields_are_excluded_from_canonical_form():
     canon = config.to_dict()
     for name in _EXECUTION_FIELDS:
         assert name not in canon, name
-    # the round-trip resets fabric knobs to defaults ...
+    # the round-trip resets fabric knobs to defaults (jobs: 0 = auto) ...
     again = FlowConfig.from_dict(canon)
-    assert again.jobs == 1
+    assert again.jobs == 0
     # ... but every result-bearing knob survives
     assert again.to_dict() == canon
 

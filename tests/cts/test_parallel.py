@@ -14,13 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cts.framework as framework
+import repro.parallel
+from repro.core.cbs import cbs
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.cts.evaluation import evaluate_result
+from repro.cts.framework import pool_pays
 from repro.geometry import Point
 from repro.obs import METRICS, TRACER, capture
-from repro.parallel import ClusterTask, ParallelRouter, resolve_jobs
+from repro.parallel import (
+    ClusterTask,
+    ParallelRouter,
+    resolve_jobs,
+    usable_cpus,
+)
 from repro.perf import make_uniform_sinks
 from repro.tech import Technology
+from repro.timing.elmore import ElmoreAnalyzer
 
 
 def run_flow(n, seed=0, jobs=1, sa_iterations=50):
@@ -137,11 +147,22 @@ def test_dead_pool_degrades_to_serial_with_fault_events(monkeypatch):
 def test_jobs_zero_resolves_to_cpu_count():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(7) == 7
-    assert resolve_jobs(0) >= 1
-    assert resolve_jobs(-2) >= 1
+    assert resolve_jobs(0) == usable_cpus() >= 1
+    assert resolve_jobs(-2) == usable_cpus()
     result, tech = run_flow(200, 0, jobs=0)  # auto: still completes
     serial, _ = run_flow(200, 0, jobs=1)
     assert quality(result, tech) == quality(serial, tech)
+
+
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    # taskset / a cpuset-limited container: fewer usable than host CPUs
+    monkeypatch.setattr(repro.parallel.os, "sched_getaffinity",
+                        lambda pid: {3}, raising=False)
+    monkeypatch.setattr(repro.parallel.os, "cpu_count", lambda: 64)
+    assert usable_cpus() == resolve_jobs(0) == 1
+    # platforms without an affinity call fall back to the host count
+    monkeypatch.delattr(repro.parallel.os, "sched_getaffinity")
+    assert usable_cpus() == 64
 
 
 def test_cluster_task_is_picklable():
@@ -150,3 +171,131 @@ def test_cluster_task_is_picklable():
                        sinks=tuple(sinks), center=Point(1.0, 2.0))
     clone = pickle.loads(pickle.dumps(task))
     assert clone == task
+
+
+# ----------------------------------------------------------------------
+# Auto (jobs=0, the default): a pool per run, used where it pays
+# ----------------------------------------------------------------------
+def _spy_pools(monkeypatch, cpus):
+    """Patch the CPU budget; record every pool the framework builds and
+    the cluster sizes of every level it sends through one."""
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: cpus)
+    seen = {"built": 0, "levels": []}
+    real_route = ParallelRouter.route_clusters
+
+    def build(*args, **kwargs):
+        seen["built"] += 1
+        return ParallelRouter(*args, **kwargs)
+
+    def route(self, tasks):
+        seen["levels"].append([len(t.sinks) for t in tasks])
+        return real_route(self, tasks)
+
+    monkeypatch.setattr(framework, "ParallelRouter", build)
+    monkeypatch.setattr(ParallelRouter, "route_clusters", route)
+    return seen
+
+
+def _task(index, sinks):
+    points, _side = make_uniform_sinks(sinks, index)
+    return ClusterTask(index=index, name=f"L0_c{index}", level=0,
+                       sinks=tuple(points), center=Point(0.0, 0.0))
+
+
+def test_pool_pays_needs_two_clusters_per_worker_and_fat_clusters():
+    fat = [_task(j, 8) for j in range(4)]
+    assert pool_pays(fat, workers=2, max_fanout=32)
+    assert not pool_pays(fat[:3], workers=2, max_fanout=32)
+    assert not pool_pays(fat, workers=3, max_fanout=32)
+    # clusters averaging below max_fanout // 4 = 8 sinks stay in-process
+    thin = [_task(j, 4) for j in range(100)]
+    assert not pool_pays(thin, workers=2, max_fanout=32)
+    assert not pool_pays(fat[:3] + [_task(3, 7)], workers=2, max_fanout=32)
+    assert pool_pays(thin, workers=2, max_fanout=16)
+
+
+def test_auto_pools_the_paying_levels_and_matches_serial(monkeypatch):
+    seen = _spy_pools(monkeypatch, cpus=2)
+    tech = Technology()
+    sinks, side = make_uniform_sinks(2000, 0)
+    source = Point(side / 2, side / 2)
+    runs = []
+    for config in (FlowConfig(jobs=1), FlowConfig()):
+        METRICS.reset()
+        with capture(TRACER):
+            result = HierarchicalCTS(tech=tech, config=config).run(
+                list(sinks), source)
+            roots = list(TRACER.roots)
+        runs.append((result, METRICS.as_dict(precision=None), roots))
+    (serial, serial_metrics, _), (auto, auto_metrics, roots) = runs
+    assert seen["built"] == 1   # the serial run built none
+    assert quality(serial, tech) == quality(auto, tech)
+    assert serial.levels == auto.levels
+    assert event_multiset(serial) == event_multiset(auto)
+    assert serial_metrics == auto_metrics
+    # level 0 went through the pool: its cluster spans came home from
+    # the workers
+    level0 = next(s for s in roots[0].walk()
+                  if s.name == "level" and s.attrs["level"] == 0)
+    clusters = [c for c in level0.children if c.name == "cluster"]
+    assert len(clusters) == auto.levels[0].num_clusters
+    assert all(c.attrs.get("worker") for c in clusters)
+    assert len(seen["levels"][0]) == len(clusters)
+
+
+def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
+    seen = _spy_pools(monkeypatch, cpus=2)
+    real_kmeans = framework.balanced_kmeans
+
+    def tiny_kmeans(points, max_size, seed):
+        return real_kmeans(points, max_size=min(max_size, 4), seed=seed)
+
+    # the default partitioner, narrowed to clusters of at most 4 sinks;
+    # patched on the module, so the config still holds no callable
+    monkeypatch.setattr(framework, "balanced_kmeans", tiny_kmeans)
+    tech = Technology()
+    sinks, side = make_uniform_sinks(400, 0)
+    source = Point(side / 2, side / 2)
+
+    def run(jobs):
+        config = FlowConfig(use_sa=False, jobs=jobs)
+        return HierarchicalCTS(tech=tech, config=config).run(
+            list(sinks), source)
+
+    auto, serial = run(0), run(1)
+    assert auto.levels
+    assert all(level.max_net_fanout <= 4 for level in auto.levels)
+    assert seen["built"] == 1
+    assert seen["levels"] == []
+    assert quality(auto, tech) == quality(serial, tech)
+
+
+@pytest.mark.parametrize("case", ["router", "analyzer", "one_cpu"])
+def test_auto_builds_no_pool_where_it_cannot_pay(monkeypatch, case):
+    seen = _spy_pools(monkeypatch, cpus=1 if case == "one_cpu" else 2)
+    tech = Technology()
+    calls = []
+
+    def counting_router(net, bound, model):
+        # stateful: forked copies would count in the workers instead
+        calls.append(net.name)
+        return cbs(net, bound, model=model)
+
+    config = FlowConfig(sa_iterations=50,
+                        router=counting_router if case == "router" else None)
+    analyzer = ElmoreAnalyzer(tech, config.source_slew) \
+        if case == "analyzer" else None
+    sinks, side = make_uniform_sinks(1000, 1)
+    source = Point(side / 2, side / 2)
+    auto = HierarchicalCTS(tech=tech, config=config,
+                           analyzer=analyzer).run(list(sinks), source)
+    auto_calls = len(calls)
+    config.jobs = 1
+    serial = HierarchicalCTS(tech=tech, config=config,
+                             analyzer=analyzer).run(list(sinks), source)
+    assert seen["built"] == 0
+    assert quality(auto, tech) == quality(serial, tech)
+    assert event_multiset(auto) == event_multiset(serial)
+    if case == "router":
+        # every net of the auto run was routed by the parent's router
+        assert auto_calls == len(calls) - auto_calls > 0

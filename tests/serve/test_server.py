@@ -133,6 +133,34 @@ def test_single_flight_runs_the_flow_exactly_once(tmp_path, monkeypatch):
     assert counters["serve.cache.miss"] == 5
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_served_miss_runs_a_serial_flow(tmp_path, monkeypatch, jobs):
+    """A default-config miss builds no cluster pool in either dispatch
+    mode: in-process it runs on a dispatcher thread, where forking is
+    unsafe; pooled, it already owns a worker.  A forked worker inherits
+    the patch, so a pool built there turns the record into an error."""
+    import repro.cts.framework as framework
+    import repro.parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a served miss built a ParallelRouter")
+
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(framework, "ParallelRouter", no_pool)
+
+    async def scenario():
+        service = CTSService(SweepStore(tmp_path), jobs=jobs, queue_depth=4)
+        await service.start()
+        try:
+            return await service.submit(_request())
+        finally:
+            await service.aclose()
+
+    result = asyncio.run(scenario())
+    assert result.source == "computed"
+    assert result.record["status"] == "ok", result.record["error"]
+
+
 def test_repeat_request_is_a_store_hit_not_a_run(tmp_path, monkeypatch):
     flow = FakeFlow()
     monkeypatch.setattr(service_mod, "compute_record", flow)

@@ -9,6 +9,7 @@ the bumps land only in the ``RunHealth`` sidecar.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -258,7 +259,7 @@ def _point_task(index, jobs):
 
 
 def test_clamp_caps_the_job_product(monkeypatch):
-    monkeypatch.setattr(repro.parallel.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 4)
     tasks = [_point_task(0, jobs=4), _point_task(1, jobs=2),
              _point_task(2, jobs=1)]
     clamped = _clamp_point_jobs(tasks, jobs=2)  # budget 4 // 2 = 2 each
@@ -269,8 +270,23 @@ def test_clamp_caps_the_job_product(monkeypatch):
     assert auto[0].effective_jobs == 2
 
 
+def test_default_config_pooled_sweep_clamps_silently(
+        tmp_path, monkeypatch, caplog):
+    # default points are auto: they take the allowed share (here 1, a
+    # serial flow per point) without counting or warning
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
+    tasks = _clamp_point_jobs([_point_task(0, jobs=0)], jobs=2)
+    assert tasks[0].effective_jobs == 1
+    with caplog.at_level(logging.WARNING, logger="repro.sweep"):
+        report = run_sweep(_spec(), SweepStore(tmp_path), jobs=2)
+    assert report.failed == 0 and report.executed == 4
+    assert METRICS.counter("sweep.jobs.clamped") == 0
+    assert not [r for r in caplog.records
+                if "oversubscription" in r.getMessage()]
+
+
 def test_oversubscribed_sweep_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(repro.parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
     spec = SweepSpec(
         name="unit-jobs",
         designs=["s38584"],
