@@ -59,35 +59,11 @@ def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
     )
 
 
-def _agglomerate(
-    sinks: list[Sink], cost: Callable[[_Cluster, _Cluster], float]
-) -> TopologyNode:
-    """Reference scalar agglomeration, kept as the equivalence oracle
-    for :func:`_agglomerate_batched` (see
-    ``tests/dme/test_topology_batched_property.py``)."""
-    if not sinks:
-        raise ValueError("cannot build a topology over zero sinks")
-    clusters = [_leaf_cluster(s) for s in sinks]
-    while len(clusters) > 1:
-        best = (float("inf"), 0, 1)
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                c = cost(clusters[i], clusters[j])
-                if c < best[0]:
-                    best = (c, i, j)
-        _, i, j = best
-        merged = _merge_clusters(clusters[i], clusters[j])
-        # remove j first (j > i) to keep indices valid
-        clusters.pop(j)
-        clusters.pop(i)
-        clusters.append(merged)
-    return clusters[0].topo
-
-
 def _agglomerate_batched(sinks: list[Sink], use_delay: bool) -> TopologyNode:
     """Vectorised agglomeration: full pairwise cost matrix per merge.
 
-    Identical to :func:`_agglomerate` — the matrix entries repeat
+    Identical to the scalar pairwise scan kept as the test oracle in
+    ``tests/dme/agglomerate_oracle.py`` — the matrix entries repeat
     ``Rect.gap``'s arithmetic operation for operation, masking the
     diagonal and lower triangle to +inf makes the flat C-order argmin
     the exact row-major upper-triangle scan of the reference (so cost

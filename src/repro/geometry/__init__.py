@@ -17,7 +17,6 @@ from repro.geometry.point import (
     unrotate45,
 )
 from repro.geometry.segment import Rect
-from repro.geometry.octagon import Octagon
 from repro.geometry.hull import (
     bounding_box,
     convex_hull,
@@ -27,7 +26,6 @@ from repro.geometry.hull import (
 )
 
 __all__ = [
-    "Octagon",
     "Point",
     "Rect",
     "bounding_box",

@@ -2,9 +2,9 @@
 
 * :mod:`kmeans` — balanced K-means: Lloyd iterations (k-means++ seeded,
   deterministic) followed by capacity-respecting assignment;
-* :mod:`mcf` — a from-scratch successive-shortest-path min-cost-flow
-  solver used for exact balanced assignment on small instances (with a
-  regret-greedy fallback at scale — see DESIGN.md);
+* :mod:`mcf` — capacitated balanced assignment, the min-cost-flow step:
+  exact rectangular assignment (scipy) while the capacity-expanded cost
+  matrix fits, a regret-greedy fallback beyond it (see DESIGN.md);
 * :mod:`nearest` — exact kd-tree nearest-center candidates shared by the
   Lloyd labelling and the regret-greedy tier;
 * :mod:`clustering` — the latency/capacitance-adaptive clustering cost
@@ -14,7 +14,7 @@
 """
 
 from repro.partition.kmeans import balanced_kmeans, kmeans
-from repro.partition.mcf import balanced_assign, min_cost_flow
+from repro.partition.mcf import balanced_assign
 from repro.partition.clustering import (
     Cluster,
     cluster_cap,
@@ -32,6 +32,5 @@ __all__ = [
     "cluster_cap",
     "clustering_cost",
     "kmeans",
-    "min_cost_flow",
     "silhouette_score",
 ]

@@ -3,7 +3,8 @@
 ``kmeans`` is a deterministic numpy Lloyd's algorithm with k-means++
 seeding; ``balanced_kmeans`` caps cluster sizes (the fanout constraint) by
 re-assigning points through :func:`repro.partition.mcf.balanced_assign`,
-following Han et al.'s K-means + min-cost-flow recipe the paper builds on.
+following Han et al.'s K-means + min-cost-flow recipe the paper builds on
+(the capacitated assignment is that min-cost flow, solved exactly).
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ def balanced_kmeans(
     """K-means whose clusters never exceed ``max_size`` members.
 
     The cluster count is ceil(n / (max_size * utilisation)); after Lloyd
-    converges, points are re-assigned under capacity via min-cost flow
-    (or its documented greedy fallback at scale).  ``slack`` < 1 leaves
-    headroom in each cluster (useful before SA refinement moves nodes).
+    converges, points are re-assigned under capacity by exact capacitated
+    assignment (or its documented greedy fallback at scale).  ``slack``
+    < 1 leaves headroom in each cluster (useful before SA refinement
+    moves nodes).
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")

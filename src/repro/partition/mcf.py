@@ -1,22 +1,14 @@
-"""Min-cost flow (successive shortest paths) and balanced assignment.
+"""Balanced assignment: the capacitated transportation problem behind
+K-means + min-cost flow (paper Section 3.2).
 
-The solver is written from scratch: residual graph in flat arrays,
-Bellman-Ford for the first potential, then Dijkstra with Johnson
-potentials per augmentation.  It is exact and fast enough for the
-assignment instances the hierarchical flow produces at its upper levels
-(hundreds of points, tens of clusters).
-
-``balanced_assign`` is the user-facing entry point: assign points to
-capacitated centers at minimum total distance.  Small instances run
-this solver on nearest-candidate arcs (re-widening on infeasibility) or
-scipy's exact rectangular assignment; beyond ``lsa_limit`` a
-regret-greedy heuristic claims centers from kd-tree candidates, as
-recorded in DESIGN.md.
+``balanced_assign`` assigns points to capacitated centers at minimum
+total Manhattan distance.  While the capacity-expanded cost matrix fits
+``lsa_limit`` entries it is solved exactly by scipy's rectangular
+assignment; beyond that a regret-greedy heuristic claims centers from
+kd-tree candidates, as recorded in DESIGN.md.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,143 +20,25 @@ from repro.partition.nearest import dense_row, nearest_candidates
 
 _LOG = get_logger("partition")
 
-_INF = float("inf")
-
 #: Nearest centers fetched per point for the regret-greedy claims.  Rows
 #: whose free centers all lie beyond the window (late points under tight
 #: capacity) resolve through their dense row.
 _CLAIM_CANDIDATES = 16
 
 
-class _Graph:
-    """Residual graph with paired forward/backward arcs."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.cost: list[float] = []
-
-    def add_edge(self, u: int, v: int, cap: float, cost: float) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.cost.append(-cost)
-        return idx
-
-
-def min_cost_flow(
-    num_nodes: int,
-    edges: list[tuple[int, int, float, float]],
-    source: int,
-    sink: int,
-    flow: float,
-) -> tuple[float, list[float]]:
-    """Send ``flow`` units from source to sink at minimum cost.
-
-    ``edges`` are (u, v, capacity, cost).  Returns (total_cost, flow per
-    input edge).  Raises ValueError when the requested flow is infeasible.
-    """
-    g = _Graph(num_nodes)
-    ids = [g.add_edge(u, v, cap, cost) for u, v, cap, cost in edges]
-
-    potential = _bellman_ford(g, source)
-    remaining = flow
-    total_cost = 0.0
-    while remaining > 1e-12:
-        dist, prev_edge = _dijkstra(g, source, potential)
-        if dist[sink] == _INF:
-            raise ValueError(
-                f"min_cost_flow: only {flow - remaining} of {flow} units "
-                "are routable"
-            )
-        for i in range(g.n):
-            if dist[i] < _INF:
-                potential[i] += dist[i]
-        # find bottleneck along the augmenting path
-        push = remaining
-        v = sink
-        while v != source:
-            e = prev_edge[v]
-            push = min(push, g.cap[e])
-            v = g.to[e ^ 1]
-        v = sink
-        while v != source:
-            e = prev_edge[v]
-            g.cap[e] -= push
-            g.cap[e ^ 1] += push
-            total_cost += push * g.cost[e]
-            v = g.to[e ^ 1]
-        remaining -= push
-
-    flows = [g.cap[i ^ 1] for i in ids]
-    return total_cost, flows
-
-
-def _bellman_ford(g: _Graph, source: int) -> list[float]:
-    dist = [0.0] * g.n  # zero init handles disconnected nodes gracefully
-    for _ in range(g.n - 1):
-        changed = False
-        for u in range(g.n):
-            du = dist[u]
-            for e in g.head[u]:
-                if g.cap[e] > 1e-12 and du + g.cost[e] < dist[g.to[e]] - 1e-12:
-                    dist[g.to[e]] = du + g.cost[e]
-                    changed = True
-        if not changed:
-            break
-    return dist
-
-
-def _dijkstra(
-    g: _Graph, source: int, potential: list[float]
-) -> tuple[list[float], list[int]]:
-    dist = [_INF] * g.n
-    prev_edge = [-1] * g.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u] + 1e-12:
-            continue
-        for e in g.head[u]:
-            if g.cap[e] <= 1e-12:
-                continue
-            v = g.to[e]
-            nd = d + g.cost[e] + potential[u] - potential[v]
-            if nd < dist[v] - 1e-12:
-                dist[v] = nd
-                prev_edge[v] = e
-                heapq.heappush(heap, (nd, v))
-    return dist, prev_edge
-
-
-# ----------------------------------------------------------------------
-# Balanced assignment
-# ----------------------------------------------------------------------
 def balanced_assign(
     points: list[Point],
     centers: list[Point],
     capacity: int,
-    candidates: int = 5,
-    exact_limit: int = 4_000,
     lsa_limit: int = 40_000_000,
 ) -> list[int]:
     """Assign each point to a center; no center exceeds ``capacity``.
 
-    Three tiers, all minimising total Manhattan distance:
+    Two tiers, both minimising total Manhattan distance:
 
-    * exact min-cost flow on nearest-candidate arcs for small instances
-      (the from-scratch solver in this module);
     * exact rectangular assignment (scipy's Jonker-Volgenant) with
       capacity-duplicated center columns while the expanded cost matrix
-      fits ``lsa_limit`` entries;
+      (n x k*capacity) fits ``lsa_limit`` entries;
     * regret-greedy on kd-tree candidates beyond that (documented in
       DESIGN.md); it never builds the n x k distance matrix.
     """
@@ -179,21 +53,10 @@ def balanced_assign(
     py = np.array([p.y for p in points])
     cx = np.array([c.x for c in centers])
     cy = np.array([c.y for c in centers])
-    cand = min(max(candidates, 1), k)
-    if n * cand <= exact_limit or n * k * capacity <= lsa_limit:
+    if n * k * capacity <= lsa_limit:
         dists = (np.abs(px[:, None] - cx[None, :])
                  + np.abs(py[:, None] - cy[None, :]))
-        while n * cand <= exact_limit:
-            assignment = _assign_mcf(dists, capacity, cand)
-            if assignment is not None:
-                METRICS.inc("partition.assign_mcf")
-                return assignment
-            METRICS.inc("partition.assign_mcf_widened")
-            if cand == k:
-                raise AssertionError("full candidate set must be feasible")
-            cand = min(k, cand * 2)
-        if n * k * capacity <= lsa_limit:
-            return _assign_lsa(dists, capacity)
+        return _assign_lsa(dists, capacity)
     _LOG.debug("balanced_assign: %d x %d beyond LSA limit; regret-greedy",
                n, k)
     METRICS.inc("partition.assign_regret_greedy")
@@ -212,37 +75,6 @@ def _assign_lsa(dists: np.ndarray, capacity: int) -> list[int]:
         assignment[int(r)] = int(c) // capacity
         total += float(expanded[r, c])
     METRICS.observe("partition.assign_cost_um", total)
-    assert all(a >= 0 for a in assignment)
-    return assignment
-
-
-def _assign_mcf(
-    dists: np.ndarray, capacity: int, cand: int
-) -> list[int] | None:
-    n, k = dists.shape
-    nearest = np.argsort(dists, axis=1)[:, :cand]
-    source = n + k
-    sink = n + k + 1
-    edges: list[tuple[int, int, float, float]] = []
-    arc_meta: list[tuple[int, int]] = []
-    for i in range(n):
-        edges.append((source, i, 1.0, 0.0))
-        arc_meta.append((-1, -1))
-        for j in nearest[i]:
-            edges.append((i, n + int(j), 1.0, float(dists[i, j])))
-            arc_meta.append((i, int(j)))
-    for j in range(k):
-        edges.append((n + j, sink, float(capacity), 0.0))
-        arc_meta.append((-1, -1))
-    try:
-        cost, flows = min_cost_flow(n + k + 2, edges, source, sink, float(n))
-    except ValueError:
-        return None  # candidate restriction infeasible; caller widens
-    METRICS.observe("partition.assign_cost_um", cost)
-    assignment = [-1] * n
-    for (i, j), f in zip(arc_meta, flows):
-        if i >= 0 and f > 0.5:
-            assignment[i] = j
     assert all(a >= 0 for a in assignment)
     return assignment
 

@@ -13,14 +13,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dme.topology import (
-    _agglomerate,
-    _agglomerate_batched,
-    greedy_dist,
-    greedy_merge,
-)
+from repro.dme.topology import _agglomerate_batched, greedy_dist, greedy_merge
 from repro.geometry import Point
 from repro.netlist.sink import Sink
+from tests.dme.agglomerate_oracle import _agglomerate
 
 
 def _random_sinks(seed: int, n: int, snapped: bool) -> list[Sink]:

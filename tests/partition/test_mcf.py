@@ -1,55 +1,17 @@
-"""Tests for the min-cost-flow solver and balanced assignment."""
+"""Tests for balanced (capacitated) assignment."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from repro.geometry import Point, manhattan
 from repro.obs.metrics import METRICS
-from repro.partition import balanced_assign, min_cost_flow
-
-
-def test_simple_path():
-    # 0 -> 1 -> 2, capacities 5, costs 1 each
-    cost, flows = min_cost_flow(
-        3, [(0, 1, 5, 1.0), (1, 2, 5, 1.0)], source=0, sink=2, flow=3
-    )
-    assert cost == pytest.approx(6.0)
-    assert flows == [3, 3]
-
-
-def test_chooses_cheaper_route():
-    edges = [
-        (0, 1, 10, 1.0), (1, 3, 10, 1.0),   # cheap: cost 2
-        (0, 2, 10, 5.0), (2, 3, 10, 5.0),   # expensive: cost 10
-    ]
-    cost, flows = min_cost_flow(4, edges, 0, 3, 5)
-    assert cost == pytest.approx(10.0)
-    assert flows[0] == 5 and flows[2] == 0
-
-
-def test_splits_when_capacity_binds():
-    edges = [
-        (0, 1, 3, 1.0), (1, 3, 3, 1.0),
-        (0, 2, 10, 5.0), (2, 3, 10, 5.0),
-    ]
-    cost, flows = min_cost_flow(4, edges, 0, 3, 5)
-    # 3 units cheap (cost 2 each) + 2 units expensive (cost 10 each)
-    assert cost == pytest.approx(3 * 2 + 2 * 10)
-
-
-def test_infeasible_flow_raises():
-    with pytest.raises(ValueError):
-        min_cost_flow(2, [(0, 1, 1, 1.0)], 0, 1, 5)
-
-
-def test_negative_cost_edges_supported():
-    # Bellman-Ford potentials must handle an initial negative-cost edge
-    edges = [(0, 1, 1, -2.0), (1, 2, 1, 1.0), (0, 2, 1, 5.0)]
-    cost, flows = min_cost_flow(3, edges, 0, 2, 1)
-    assert cost == pytest.approx(-1.0)
+from repro.partition import balanced_assign
 
 
 def brute_force_assignment_cost(points, centers, capacity):
@@ -78,12 +40,48 @@ def test_balanced_assign_matches_bruteforce(n, k, seed):
     capacity = max(1, (n + k - 1) // k)
     if k * capacity < n:
         capacity += 1
-    assignment = balanced_assign(points, centers, capacity, candidates=k)
+    assignment = balanced_assign(points, centers, capacity)
     counts = [assignment.count(j) for j in range(k)]
     assert max(counts) <= capacity
     cost = sum(manhattan(points[i], centers[assignment[i]]) for i in range(n))
     assert cost == pytest.approx(
         brute_force_assignment_cost(points, centers, capacity), abs=1e-6
+    )
+
+
+def transportation_lp_cost(points, centers, capacity):
+    """Optimum of the transportation LP (each point assigned once, each
+    center holding at most ``capacity``).  Its constraint matrix is
+    totally unimodular, so this is the exact integer assignment cost."""
+    n, k = len(points), len(centers)
+    cost = np.array([[manhattan(p, c) for c in centers] for p in points])
+    res = linprog(
+        cost.ravel(),
+        A_ub=np.kron(np.ones(n), np.eye(k)), b_ub=np.full(k, capacity),
+        A_eq=np.kron(np.eye(n), np.ones(k)), b_eq=np.ones(n),
+        bounds=(0, 1), method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@given(st.integers(min_value=20, max_value=60),
+       st.integers(min_value=6, max_value=12),
+       st.integers(min_value=0, max_value=10**6))
+# every optimum here sends some point beyond its 5 nearest centers: with
+# arcs only to those, the best assignment costs 748.98 um, not 745.85
+@example(n=42, k=7, seed=22)
+@settings(max_examples=40, deadline=None)
+def test_balanced_assign_cost_is_transportation_lp_optimum(n, k, seed):
+    rng = random.Random(seed)
+    points = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(n)]
+    centers = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(k)]
+    capacity = math.ceil(n / k)
+    assignment = balanced_assign(points, centers, capacity)
+    assert max(assignment.count(j) for j in range(k)) <= capacity
+    cost = sum(manhattan(points[i], centers[assignment[i]]) for i in range(n))
+    assert cost == pytest.approx(
+        transportation_lp_cost(points, centers, capacity), rel=1e-9, abs=1e-6
     )
 
 
@@ -102,8 +100,7 @@ def test_balanced_assign_greedy_fallback():
     points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(200)]
     centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10)]
     before = METRICS.counter("partition.assign_regret_greedy")
-    assignment = balanced_assign(points, centers, capacity=20, exact_limit=10,
-                                 lsa_limit=0)
+    assignment = balanced_assign(points, centers, capacity=20, lsa_limit=0)
     assert METRICS.counter("partition.assign_regret_greedy") == before + 1
     counts = [assignment.count(j) for j in range(10)]
     assert max(counts) <= 20 and sum(counts) == 200
