@@ -474,6 +474,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.resilience import FabricPolicy
     from repro.serve import CTSServer, CTSService
@@ -502,11 +503,20 @@ def cmd_serve(args) -> int:
 
     async def _run() -> None:
         await server.start()
+        try:
+            # SIGTERM (plain `kill`, service managers) stops like SIGINT,
+            # through aclose(), which reaps the pool workers; dying
+            # without it would orphan them, idle but alive
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel)
+        except (NotImplementedError, RuntimeError):
+            pass    # no loop signals here: Windows, or not the main thread
         print(f"repro serve: listening on "
               f"http://{server.host}:{server.port} "
               f"(store: {args.store}, jobs: {service.jobs}, "
               f"queue: {args.queue_depth}, model: "
-              f"{predictor.key()[:12] if predictor else 'none'})")
+              f"{predictor.key()[:12] if predictor else 'none'})",
+              flush=True)   # callers on a pipe read the port from it
         try:
             await server.serve_forever()
         finally:
@@ -514,7 +524,7 @@ def cmd_serve(args) -> int:
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro serve: shutting down")
     return 0
 
@@ -985,9 +995,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed store root (default: sweep-store)",
     )
     p_serve.add_argument(
-        "--jobs", type=int, default=1,
-        help="dispatcher slots: 1 = in-process execution (default), "
-             "N > 1 = N one-worker pools, 0 = one per CPU",
+        "--jobs", type=int, default=0,
+        help="dispatcher slots: 0 = auto (default): one per usable "
+             "CPU, pooled as below when that is two or more; 1 = "
+             "in-process execution with live span streaming; N > 1 = "
+             "N one-worker pools, so misses run in worker processes",
     )
     p_serve.add_argument(
         "--queue-depth", type=_positive_int, default=64,

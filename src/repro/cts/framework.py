@@ -283,6 +283,7 @@ class HierarchicalCTS:
 
         try:
             while len(current) > cons.max_fanout:
+                mark = len(diag.events)
                 with TRACER.span("level", level=level, sinks=len(current)):
                     clusters, sa_before, sa_after, next_sinks, \
                         buffers_added = self._run_level(
@@ -308,18 +309,21 @@ class HierarchicalCTS:
                     "level %d: %d sinks -> %d clusters, %d buffers",
                     level, len(current), len(next_sinks), buffers_added,
                 )
+                _log_degradations(diag, mark, f"level {level}")
                 current = next_sinks
                 level += 1
         finally:
             if pool is not None:
                 pool.shutdown()
 
+        mark = len(diag.events)
         with TRACER.span("level", level=-1, sinks=len(current)):
             top_tree, top_buffers = self._route_top(
                 current, source, chain, diag
             )
         METRICS.inc("cts.top_buffers", top_buffers)
         full = self._assemble(top_tree, subtrees, sinks, diag)
+        _log_degradations(diag, mark, "top net")
         return CTSResult(
             tree=full,
             levels=levels,
@@ -728,6 +732,13 @@ class HierarchicalCTS:
                 except Exception:  # noqa: BLE001
                     tree.set_buffer(tree.root, self._lib.weakest)
                 return tree
+
+
+def _log_degradations(diag: FlowDiagnostics, since: int, where: str) -> None:
+    """At most one WARNING for a level's degraded events."""
+    line = diag.degradation_line(since)
+    if line is not None:
+        _LOG.warning("%s: %s", where, line)
 
 
 def pool_pays(tasks: list[ClusterTask], workers: int,

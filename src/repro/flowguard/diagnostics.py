@@ -13,7 +13,6 @@ fix-and-recheck operation, not degradation).
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -86,10 +85,9 @@ class FlowDiagnostics:
         event = FlowEvent(stage=stage, kind=kind, level=level, net=net,
                           detail=detail)
         self.events.append(event)
-        _LOG.log(
-            logging.WARNING if kind in DEGRADED_KINDS else logging.INFO,
-            "%s", event.describe(),
-        )
+        # per-event lines are DEBUG: a large flow records hundreds, and
+        # the engine logs one summary per level (see degradation_line)
+        _LOG.debug("%s", event.describe())
         return event
 
     def add_time(self, stage: str, seconds: float) -> None:
@@ -116,12 +114,14 @@ class FlowDiagnostics:
                 span.duration if span is not None else now() - start,
             )
 
-    def event_breakdown(self) -> dict[str, int]:
+    def event_breakdown(self, since: int = 0) -> dict[str, int]:
         """Per-kind event counts plus a total — the structured form of
-        the old opaque ``flow_events: N`` bench field."""
-        breakdown: dict[str, int] = {"total": len(self.events)}
+        the old opaque ``flow_events: N`` bench field — over the events
+        recorded from index ``since`` on."""
+        events = self.events[since:]
+        breakdown: dict[str, int] = {"total": len(events)}
         for kind in EVENT_KINDS:
-            n = self.count(kind)
+            n = sum(1 for e in events if e.kind == kind)
             if n:
                 breakdown[kind] = n
         return breakdown
@@ -178,6 +178,23 @@ class FlowDiagnostics:
             agg[key][2] = int(agg[key][2]) + 1
             agg[key][3] = e.detail  # keep the most recent example
         return [agg[k] for k in sorted(agg)]
+
+    def degradation_line(self, since: int = 0) -> str | None:
+        """Degraded events recorded from index ``since`` on, as one line.
+
+        Counts by kind plus the first event as an example, or None when
+        there are none — what the hierarchical engine logs once per
+        level instead of one WARNING per event.
+        """
+        example = next((e for e in self.events[since:]
+                        if e.kind in DEGRADED_KINDS), None)
+        if example is None:
+            return None
+        counts = ", ".join(
+            f"{n} {kind}" for kind, n in self.event_breakdown(since).items()
+            if kind in DEGRADED_KINDS
+        )
+        return f"{counts}; e.g. {example.describe()}"
 
     def summary(self) -> str:
         """One-line digest for logs and CLI footers."""

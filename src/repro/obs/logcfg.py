@@ -7,11 +7,13 @@ is emitted unless :func:`configure_logging` (the CLI's ``-v`` /
 ``--log-level``) installs a handler: library code stays silent by
 default, per stdlib convention.
 
-The one always-wired source is :meth:`repro.flowguard.diagnostics.
-FlowDiagnostics.record` — every degradation/retry/repair event is logged
-as it happens (WARNING for degradations, INFO otherwise), so fallback
-paths are visible live instead of only by inspecting diagnostics after
-the run.
+Flow events summarise instead of flooding: :meth:`repro.flowguard.
+diagnostics.FlowDiagnostics.record` logs every degradation, retry and
+repair at DEBUG as it happens, and :class:`repro.cts.framework.
+HierarchicalCTS` logs at most one WARNING per level (the top net
+included) once the level's outcomes have merged — counts by event kind
+plus one example — so fallback paths stay visible live without one
+line per violation.
 """
 
 from __future__ import annotations

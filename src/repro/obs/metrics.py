@@ -19,6 +19,7 @@ safe under concurrent flows; the counts then aggregate across threads.
 
 from __future__ import annotations
 
+import os
 import threading
 
 
@@ -214,3 +215,11 @@ class MetricsRegistry:
 
 #: The registry the instrumented packages import.
 METRICS = MetricsRegistry()
+
+if hasattr(os, "register_at_fork"):
+    # A fork can land while another thread holds the lock (a serving
+    # event loop counts every request), leaving it held forever in the
+    # child, whose worker initializer takes it first thing.  The child
+    # runs only the forking thread, so a fresh lock is safe there.
+    os.register_at_fork(
+        after_in_child=lambda: setattr(METRICS, "_lock", threading.Lock()))

@@ -31,6 +31,7 @@ come from :mod:`repro.obs.clock`, the flow's single clock.
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 
@@ -271,6 +272,12 @@ class Tracer:
 
 #: The tracer the instrumented packages import.  Off by default.
 TRACER = Tracer()
+
+if hasattr(os, "register_at_fork"):
+    # same hazard as METRICS' lock: a fork while another thread holds
+    # it would deadlock the child's first TRACER.reset()
+    os.register_at_fork(
+        after_in_child=lambda: setattr(TRACER, "_lock", threading.Lock()))
 
 
 @contextmanager

@@ -64,6 +64,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
 from dataclasses import dataclass, field
@@ -258,7 +259,8 @@ class WorkPool:
     The executor is created lazily on the first batch, so constructing
     a pool that never sees work costs nothing; ``fork`` is preferred
     when available (the initializer context then rides the memory
-    image instead of a pickle round-trip).
+    image instead of a pickle round-trip).  :meth:`shutdown` is final
+    and may come from another thread while a :meth:`map` is running.
     """
 
     def __init__(
@@ -278,6 +280,9 @@ class WorkPool:
         self._initializer = initializer
         self._initargs = initargs
         self._executor: ProcessPoolExecutor | None = None
+        # guards executor construction against a concurrent shutdown
+        self._lifecycle = threading.Lock()
+        self._closed = False           # shutdown() ran; never build again
         self._dead = False
         self._built = False            # first construction happened
         self._rebuilds_used = 0
@@ -288,7 +293,13 @@ class WorkPool:
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor | None:
-        if self._dead:
+        # atomic against shutdown(): a concurrent close either tears
+        # down the executor built here or stops it being built at all
+        with self._lifecycle:
+            return self._current_executor()
+
+    def _current_executor(self) -> ProcessPoolExecutor | None:
+        if self._closed or self._dead:
             return None
         if self._executor is not None:
             return self._executor
@@ -352,8 +363,8 @@ class WorkPool:
 
     def _teardown_executor(self) -> None:
         """Drop the current executor and reap its workers (bounded)."""
-        executor = self._executor
-        self._executor = None
+        with self._lifecycle:   # one reaper when shutdown() races a break
+            executor, self._executor = self._executor, None
         if executor is None:
             return
         procs = list(getattr(executor, "_processes", {}).values())
@@ -384,6 +395,16 @@ class WorkPool:
                 proc.join(1.0)
 
     def shutdown(self) -> None:
+        """Close the pool for good and reap its workers.
+
+        A closed pool never builds or rebuilds an executor: a
+        :meth:`map` still running on another thread gets its queued
+        and in-flight tasks back as ``None`` with reason ``"closed"``,
+        rather than reading the killed workers as a pool break and
+        re-running them on a fresh pool nobody will stop.
+        """
+        with self._lifecycle:
+            self._closed = True
         self._teardown_executor()
         if self._sentinel_dir is not None:
             shutil.rmtree(self._sentinel_dir, ignore_errors=True)
@@ -415,6 +436,12 @@ class WorkPool:
             pass
 
     # -- bookkeeping ----------------------------------------------------
+    def _abandon(self, indices) -> None:
+        """Tasks ``indices`` end unrun because the pool was shut down."""
+        for i in indices:
+            self.last_failure_reasons[i] = (
+                "closed", "the pool was shut down before the task finished")
+
     def _degrade(self, index: int, label: str, code: str,
                  detail: str) -> None:
         """Task ``index`` falls off the ladder: caller runs it in-process."""
@@ -422,10 +449,15 @@ class WorkPool:
         METRICS.inc("fabric.task.degraded")
         self.health.record("degraded", task=label, detail=detail)
 
-    def _strike(self, label: str) -> bool:
-        """One pool-break/timeout strike; True once ``label`` is poison."""
+    def _strike(self, label: str, convict: bool = True) -> bool:
+        """One pool-break/timeout strike; True once ``label`` is poison.
+
+        With ``convict`` false the strike only counts: the task shared
+        the break with other started tasks, so it cannot be blamed yet.
+        """
         self._strikes[label] = self._strikes.get(label, 0) + 1
-        if (self._strikes[label] >= self.policy.quarantine_after
+        if (convict
+                and self._strikes[label] >= self.policy.quarantine_after
                 and label not in self._quarantined):
             self._quarantined.add(label)
             METRICS.inc("fabric.task.quarantined")
@@ -459,7 +491,8 @@ class WorkPool:
         A ``None`` entry means that task fell off the resilience ladder
         (deadline expiry, exhausted retries, quarantine, lost pool) and
         the caller must run it in-process — the per-task degradation
-        contract both the framework and the sweep runner rely on.
+        contract both the framework and the sweep runner rely on — or,
+        with reason ``"closed"``, that :meth:`shutdown` stopped it.
         ``describe(task)`` labels failure logs, health events and the
         quarantine ledger; ``last_failure_reasons`` explains each
         ``None`` until the next ``map`` call.  ``timeout``, when given,
@@ -485,6 +518,9 @@ class WorkPool:
         while queue:
             executor = self._ensure_executor()
             if executor is None:
+                if self._closed:
+                    self._abandon(queue)
+                    break
                 for i in queue:
                     self._degrade(i, labels[i], "pool_lost",
                                   "no usable process pool; "
@@ -545,13 +581,16 @@ class WorkPool:
         per-task budget (waits overlap siblings' execution, so nothing
         is killed early) whose worst-case stall per hung chain is one
         budget, because an expiry kills the pool and costs a
-        resurrection life.
+        resurrection life.  Tasks a pool break interrupted are judged
+        together once the broken pool's workers are reaped (see
+        :meth:`_resolve_break`).
         """
         timeout = self.policy.task_timeout if timeout_override is None \
             else timeout_override
         requeue: list[int] = []
         killed_by_deadline = False
         broke = False
+        victims: list[tuple[int, str]] = []   # (index, token) of a break
         for i in sorted(submitted):
             future, token = submitted[i]
             label = labels[i]
@@ -581,35 +620,52 @@ class WorkPool:
             try:
                 result = future.result()
             except Exception as exc:  # noqa: BLE001 — classified below
-                self._resolve_failure(
-                    i, label, token, exc, transient, isolation, requeue,
-                    killed_by_deadline,
-                )
-                if _pool_is_broken(exc):
+                if self._closed:
+                    # shutdown() killed the worker: not the task's fault,
+                    # and nothing may run it again on this pool
+                    self._abandon([i])
+                elif _pool_is_broken(exc):
                     broke = True
+                    victims.append((i, token))
+                else:
+                    self._resolve_failure(i, label, token, exc, transient,
+                                          requeue)
             else:
                 results[i] = result
                 self._drop_sentinel(token)
         if broke:
             self._teardown_executor()
+        if victims:
+            self._resolve_break(victims, labels, isolation, requeue,
+                                killed_by_deadline)
         return requeue
 
-    def _resolve_failure(
+    def _resolve_break(
         self,
-        i: int,
-        label: str,
-        token: str,
-        exc: Exception,
-        transient: dict[int, int],
+        victims: list[tuple[int, str]],
+        labels: list[str],
         isolation: set[int],
         requeue: list[int],
         killed_by_deadline: bool,
     ) -> None:
-        """Classify one failed future onto the resilience ladder."""
-        started = self._had_started(token)
-        self._drop_sentinel(token)
-        if _pool_is_broken(exc):
-            if killed_by_deadline or not started:
+        """Judge the tasks a pool break took down; the pool is reaped.
+
+        A task whose sentinel survived had started and not finished,
+        and takes a strike.  Only a task that was the *only* one
+        started when the pool broke can be quarantined — always the
+        case for an isolation re-run — so an innocent co-runner is
+        never convicted alongside the poison task.  When several had
+        started, each re-runs alone and the solo runs find the
+        culprit, whose strike from the shared break still counts
+        toward ``quarantine_after``.
+        """
+        started = set() if killed_by_deadline else {
+            i for i, token in victims if self._had_started(token)
+        }
+        for i, token in victims:
+            self._drop_sentinel(token)
+            label = labels[i]
+            if i not in started:
                 # collateral damage of a deadline kill, or never even
                 # started: presumed innocent, re-queued for free (the
                 # break itself already cost a resurrection life)
@@ -619,14 +675,11 @@ class WorkPool:
                     detail="re-queued after a pool break it did not cause",
                 )
                 requeue.append(i)
-            elif self._strike(label):
+            elif self._strike(label, convict=len(started) == 1):
                 self._degrade(i, label, "quarantine",
                               "task broke the pool repeatedly; "
                               "quarantined and ran in-process")
             else:
-                # started-but-unfinished at the break: suspect.  Re-run
-                # solo so a second break convicts it without ever
-                # blaming an innocent co-runner.
                 isolation.add(i)
                 METRICS.inc("fabric.task.retry")
                 self.health.record(
@@ -635,7 +688,19 @@ class WorkPool:
                            "re-queued in isolation",
                 )
                 requeue.append(i)
-        elif isinstance(exc, pickle.PicklingError):
+
+    def _resolve_failure(
+        self,
+        i: int,
+        label: str,
+        token: str,
+        exc: Exception,
+        transient: dict[int, int],
+        requeue: list[int],
+    ) -> None:
+        """Classify one failed future that did not break the pool."""
+        self._drop_sentinel(token)
+        if isinstance(exc, pickle.PicklingError):
             transient[i] = transient.get(i, 0) + 1
             if transient[i] <= self.policy.task_retries:
                 METRICS.inc("fabric.task.retry")

@@ -18,14 +18,18 @@ ServeRequest`\\ s through four layers, cheapest first:
    ``serve.admit.rejected``) instead of buffering unboundedly.
 4. **Execution** — dispatcher workers pop flights in priority order
    and run them through the *same* ``PointTask``/``compute_record``
-   path sweeps use: in-process for ``jobs=1``, otherwise each
-   dispatcher owns a one-worker :class:`~repro.parallel.WorkPool`
-   whose resilience ladder (deadline → retry → resurrect → quarantine
-   → in-process) absorbs worker failures per request.  Per-request
-   deadlines ride the ladder's deadline rung via
-   :meth:`~repro.parallel.WorkPool.run_one`'s timeout override; on
-   expiry the workers are killed and the request fails with the typed
-   :class:`DeadlineExceeded` (HTTP 504).
+   path sweeps use.  With two or more dispatchers — the default auto
+   (``jobs=0``) on a machine with two or more usable CPUs — each
+   owns a one-worker :class:`~repro.parallel.WorkPool`, so the
+   CPU-bound flow runs in a forked worker and the serving interpreter
+   only parses, looks up and answers; the pool's resilience ladder
+   (deadline → retry → resurrect → quarantine → in-process) absorbs
+   worker failures per request.  Per-request deadlines ride the
+   ladder's deadline rung via :meth:`~repro.parallel.WorkPool.
+   run_one`'s timeout override; on expiry the workers are killed and
+   the request fails with the typed :class:`DeadlineExceeded` (HTTP
+   504).  With one dispatcher (``jobs=1``, or auto on one usable CPU)
+   the flow runs on the dispatcher's thread in this process.
 
 Successful records are stored, so the next identical request is a
 layer-1 hit.  Progress streams to subscribers as events: lifecycle
@@ -145,7 +149,7 @@ class CTSService:
     def __init__(
         self,
         store: SweepStore,
-        jobs: int = 1,
+        jobs: int = 0,
         queue_depth: int = 64,
         default_deadline_s: float = 0.0,
         policy: FabricPolicy | None = None,
@@ -175,7 +179,11 @@ class CTSService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the dispatcher workers (one per job slot)."""
+        """Spawn the dispatcher workers (one per job slot).
+
+        Two or more slots give each dispatcher its own one-worker pool,
+        forked on its first miss; one slot executes in-process.
+        """
         if self._dispatchers:
             return
         self._loop = asyncio.get_running_loop()
@@ -192,7 +200,7 @@ class CTSService:
                 # sibling dispatcher's request
                 pool = WorkPool(
                     1, initializer=_init_serve_worker,
-                    initargs=(False,), policy=self.policy,
+                    initargs=(TRACER.enabled,), policy=self.policy,
                     chaos=self.chaos, health=self.health,
                 )
                 self._pools.append(pool)
@@ -393,6 +401,11 @@ class CTSService:
         if outcome is None:
             code, detail = pool.last_failure_reasons.get(
                 0, ("fault", "worker unavailable"))
+            if code == "closed":
+                # aclose() shut the pool down under this request: the
+                # server is stopping, so nothing runs it again here
+                raise RuntimeError(
+                    f"server stopped before {task.key[:12]} finished")
             if code == "timeout":
                 METRICS.inc("serve.deadline.expired")
                 raise DeadlineExceeded(deadline, task.key)
@@ -404,6 +417,9 @@ class CTSService:
             return self._execute_local(task, flight)
         if outcome.metrics is not None:
             METRICS.merge_raw(outcome.metrics)
+        if outcome.spans:
+            TRACER.adopt(outcome.spans, tid=outcome.worker,
+                         worker=outcome.worker)
         return outcome.record
 
     def _execute_local(self, task: PointTask, flight: _Flight) -> dict:

@@ -9,12 +9,17 @@ pool never leaks worker processes past ``shutdown()``.
 
 import multiprocessing
 import os
+import threading
 import time
+
+import pytest
 
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.cts.evaluation import evaluate_result
 from repro.geometry import Point
-from repro.parallel import WorkPool
+from repro.obs.metrics import METRICS
+from repro.obs.tracer import TRACER
+from repro.parallel import WorkPool, init_worker
 from repro.perf import make_uniform_sinks
 from repro.resilience import FabricChaos, FabricPolicy
 from repro.tech import Technology
@@ -34,6 +39,25 @@ def poison_three(x):
 
 def kill_all(x):
     os._exit(1)
+
+
+def poison_after_corunner(task):
+    """Payload 3 kills its worker once payload 4 has started elsewhere.
+
+    Payload 4 drops a marker, then outlives the break, so the pool
+    dies with both tasks started: the ambiguous case.  A solo re-run of
+    4 finishes normally.
+    """
+    value, marker = task
+    if value == 3:
+        deadline = time.monotonic() + 30.0
+        while not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+    with open(marker, "w"):
+        pass
+    time.sleep(1.0)
+    return value * value
 
 
 def hang_in_worker(task):
@@ -100,13 +124,41 @@ def test_quarantine_persists_across_map_calls():
     assert first[2] is None and second[2] is None
     assert second == [1, 4, None, 16]
     assert pool.health.quarantines == 1  # convicted exactly once
-    # the second call never re-submits the poison task, so the one
-    # break it caused is the only break of the run: at most one
-    # rebuild ever happens (possibly lazily, at the second call)
-    assert pool.health.resurrections <= 1
+    # the second call never re-submits the poison task.  Its first
+    # break convicts it when it was the only task running; when task 4
+    # had started too, neither is convicted and a solo re-run of 3
+    # breaks the pool once more to convict it: at most two rebuilds
+    assert pool.health.resurrections <= 2
     assert pool.last_failure_reasons[2] == (
         "quarantine", "task is quarantined; running in-process"
     )
+    _assert_no_orphans()
+
+
+@pytest.mark.parametrize("policy", [
+    FabricPolicy(quarantine_after=1),
+    FabricPolicy(),
+], ids=["quarantine_after=1", "default"])
+def test_break_with_two_started_tasks_convicts_only_the_culprit(tmp_path,
+                                                                policy):
+    """Tasks 3 and 4 were both running when the pool broke: neither is
+    convicted, each re-runs alone, and only the solo break convicts.
+    The shared break still counts as a strike, so at the default policy
+    convicting 3 takes two breaks and the rebuild budget survives."""
+    marker = str(tmp_path / "corunner-started")
+    with WorkPool(2, policy=policy) as pool:
+        results = pool.map(poison_after_corunner,
+                           [(v, marker) for v in (3, 4, 5, 6)],
+                           describe=lambda t: f"task {t[0]}")
+    assert results == [None, 16, 25, 36]
+    assert pool.last_failure_reasons == {
+        0: ("quarantine", "task broke the pool repeatedly; "
+                          "quarantined and ran in-process"),
+    }
+    assert pool.health.quarantines == 1
+    assert [e.task for e in pool.health.of_kind("quarantine")] == ["task 3"]
+    assert pool.health.resurrections == 2
+    assert pool.health.count("pool_lost") == 0
     _assert_no_orphans()
 
 
@@ -118,6 +170,44 @@ def test_rebuild_budget_exhaustion_degrades_everything():
     assert pool.health.degraded_tasks == 4
     assert all(pool.last_failure_reasons[i][0] in ("pool_lost", "fault")
                for i in range(4))
+    _assert_no_orphans()
+
+
+# ----------------------------------------------------------------------
+# Forking from a threaded parent
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("owner", [METRICS, TRACER],
+                         ids=["metrics", "tracer"])
+def test_fork_while_another_thread_holds_an_obs_lock(owner):
+    """A served miss forks its worker while other server threads count
+    requests: a singleton lock held at the fork must not stay held in
+    the child, whose initializer takes it first thing."""
+    held, forked = threading.Event(), threading.Event()
+
+    def hold_across_the_fork():
+        with owner._lock:
+            held.set()
+            deadline = time.monotonic() + 10.0
+            while not multiprocessing.active_children() \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            forked.set()
+
+    holder = threading.Thread(target=hold_across_the_fork)
+    holder.start()
+    assert held.wait(5.0)
+    start = time.monotonic()
+    try:
+        with WorkPool(
+            1, initializer=init_worker, initargs=(False,),
+            policy=FabricPolicy(task_timeout=8.0, pool_rebuilds=0),
+        ) as pool:
+            result = pool.run_one(square, 3)
+    finally:
+        holder.join()
+    assert forked.is_set()
+    assert result == 9, pool.last_failure_reasons
+    assert time.monotonic() - start < 5.0
     _assert_no_orphans()
 
 

@@ -1,6 +1,7 @@
 """Tests for the flow-guard subsystem: diagnostics, fault injection,
 router fallback chains, forced partitioning, and constraint repair."""
 
+import logging
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.core.cbs import cbs
 from repro.cts import Constraints, FlowConfig, HierarchicalCTS, TABLE5
 from repro.flowguard import (
+    DEGRADED_KINDS,
     FaultInjected,
     FaultInjector,
     FlowDiagnostics,
@@ -19,6 +21,7 @@ from repro.flowguard import (
     stage_fanouts,
     star_topology,
 )
+from repro.flowguard.diagnostics import EVENT_KINDS
 from repro.geometry import Point
 from repro.netlist import ClockNet, RoutedTree, Sink
 from repro.partition.kmeans import balanced_kmeans
@@ -332,6 +335,45 @@ def test_flow_survives_always_failing_router():
     assert diag.downgrades >= 1 and diag.retries >= 1
     assert len(result.tree.sinks()) == len(sinks)
     result.tree.validate()
+
+
+def test_flow_logs_one_degradation_summary_per_level(caplog, monkeypatch):
+    """Per-event lines go to DEBUG; each level with degraded events,
+    the top net included, gets exactly one WARNING summarising them."""
+    # an earlier configure_logging() may have detached "repro" from the
+    # root logger, where caplog listens
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    flow = HierarchicalCTS(
+        tech=Technology(), constraints=Constraints(max_cap=12.0),
+        config=FlowConfig(sa_iterations=20, jobs=1),
+    )
+    with caplog.at_level(logging.DEBUG, logger="repro"):
+        result = flow.run(make_sinks(300, seed=1), Point(60, 60))
+
+    events = result.diagnostics.events
+    per_level: dict[int, list] = {}
+    for e in events:
+        if e.kind in DEGRADED_KINDS:
+            per_level.setdefault(e.level, []).append(e)
+    assert len(per_level) >= 3, "constraints too loose: test is vacuous"
+    assert max(len(v) for v in per_level.values()) >= 2
+
+    flowguard = [r for r in caplog.records if r.name == "repro.flowguard"]
+    assert [r.getMessage() for r in flowguard] == \
+        [e.describe() for e in events]
+    assert all(r.levelno == logging.DEBUG for r in flowguard)
+
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert all(r.name == "repro.cts" for r in warnings)
+    expected = []
+    for level in sorted(per_level, key=lambda lv: (lv < 0, lv)):
+        group = per_level[level]
+        where = "top net" if level < 0 else f"level {level}"
+        counts = ", ".join(
+            f"{n} {kind}" for kind in EVENT_KINDS
+            if (n := sum(1 for e in group if e.kind == kind)))
+        expected.append(f"{where}: {counts}; e.g. {group[0].describe()}")
+    assert [r.getMessage() for r in warnings] == expected
 
 
 def test_flow_empty_input_still_raises():

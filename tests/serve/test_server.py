@@ -10,12 +10,26 @@ byte-identity contract against genuinely stored records.
 
 import asyncio
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.parallel
 import repro.serve.service as service_mod
+import repro.sweep.runner
+from repro.cli import build_parser
 from repro.obs.metrics import METRICS
+from repro.obs.tracer import TRACER, capture
+from repro.resilience import FabricPolicy
 from repro.serve import (
     AdmissionRejected,
     CTSServer,
@@ -25,6 +39,7 @@ from repro.serve import (
 )
 from repro.sweep.runner import PointOutcome
 from repro.sweep.store import SweepStore, canonical_json
+from tests.cts.test_fabric import _assert_no_orphans
 
 DESIGN = "s38584"
 
@@ -159,6 +174,183 @@ def test_served_miss_runs_a_serial_flow(tmp_path, monkeypatch, jobs):
     result = asyncio.run(scenario())
     assert result.source == "computed"
     assert result.record["status"] == "ok", result.record["error"]
+
+
+def _raise_in_process(task):
+    raise AssertionError("the miss ran in the serving process")
+
+
+def test_serve_jobs_default_is_auto():
+    assert build_parser().parse_args(["serve"]).jobs == 0
+
+
+def _one_miss_on_the_default_service(tmp_path):
+    """``CTSService(store)`` answers one miss; returns its
+    (jobs, dispatchers, pools) shape and the result."""
+    async def scenario():
+        service = CTSService(SweepStore(tmp_path))
+        await service.start()
+        try:
+            shape = (service.jobs, len(service._dispatchers),
+                     len(service._pools))
+            return shape, await service.submit(_request())
+        finally:
+            await service.aclose()
+
+    return asyncio.run(scenario())
+
+
+def test_auto_jobs_runs_misses_in_workers_on_two_cpus(tmp_path,
+                                                      monkeypatch):
+    """The default service on two usable CPUs: two dispatchers, each
+    owning a one-worker pool.  In-process execution is patched to fail,
+    so only a forked worker can produce this real record."""
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(service_mod, "compute_record", _raise_in_process)
+    shape, result = _one_miss_on_the_default_service(tmp_path)
+    assert shape == (2, 2, 2)
+    assert result.source == "computed"
+    assert result.record["status"] == "ok", result.record["error"]
+    _assert_no_orphans()
+
+
+def test_pooled_miss_ships_its_spans_home_when_tracing(tmp_path):
+    """A traced server keeps the flow spans of misses its workers ran,
+    as a sweep does: adopted under the worker's pid."""
+    async def scenario():
+        service = CTSService(SweepStore(tmp_path), jobs=2)
+        await service.start()
+        try:
+            return await service.submit(_request())
+        finally:
+            await service.aclose()
+
+    with capture(TRACER):
+        result = asyncio.run(scenario())
+        points = TRACER.spans_named("sweep.point")
+    assert result.record["status"] == "ok"
+    assert len(points) == 1
+    assert points[0].attrs["worker"] not in (0, os.getpid())
+    assert TRACER.spans_named("flow")
+
+
+def test_auto_jobs_runs_in_process_on_one_cpu(tmp_path, monkeypatch):
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 1)
+    flow = FakeFlow()
+    monkeypatch.setattr(service_mod, "compute_record", flow)
+    shape, result = _one_miss_on_the_default_service(tmp_path)
+    assert shape == (1, 1, 0)
+    assert result.source == "computed"
+    assert flow.calls == 1
+
+
+def test_aclose_during_a_pooled_miss_stops_it_once(tmp_path, monkeypatch):
+    """Stopping the server mid-miss terminates the worker and returns:
+    the shut-down pool must not read its own kill as a pool break and
+    re-run the flow on a rebuilt pool that nothing will stop."""
+    starts = tmp_path / "starts"
+
+    def blocking_flow(task):       # runs in the forked worker
+        with open(starts, "a") as fh:
+            fh.write("started\n")
+        time.sleep(20.0)
+        raise AssertionError("the blocked flow was never stopped")
+
+    monkeypatch.setattr(repro.sweep.runner, "compute_record", blocking_flow)
+    grace = 0.5
+    timing = {}
+
+    async def scenario():
+        service = CTSService(SweepStore(tmp_path / "store"), jobs=2,
+                             policy=FabricPolicy(shutdown_grace=grace))
+        await service.start()
+        miss = asyncio.create_task(service.submit(_request()))
+        deadline = time.monotonic() + 30.0
+        while not starts.exists():
+            assert time.monotonic() < deadline, "the miss never started"
+            await asyncio.sleep(0.02)
+        timing["stop"] = time.monotonic()
+        await service.aclose()
+        miss.cancel()
+        return service
+
+    service = asyncio.run(scenario())
+    # asyncio.run returns only once the dispatcher thread has finished
+    assert time.monotonic() - timing["stop"] < grace + 5.0
+    assert starts.read_text().count("started") == 1
+    assert service.health.resurrections == 0
+    _assert_no_orphans()
+
+
+def _children(pid: int) -> list[int]:
+    """Live child pids of ``pid``, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _read_port(proc: subprocess.Popen, deadline: float) -> int:
+    """The port from the server's "listening on" line; fails, rather
+    than blocks, when no such line comes before ``deadline``."""
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([proc.stdout], [], [], 0.1)
+        if not ready:
+            continue
+        line = proc.stdout.readline()
+        assert line, "server exited before listening"
+        listening = re.search(r"listening on http://[^:\s]+:(\d+)", line)
+        if listening:
+            return int(listening.group(1))
+    raise AssertionError("server did not report its port")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="finds the pool workers through /proc")
+def test_sigterm_stops_a_pooled_server_and_reaps_its_workers(tmp_path):
+    """A plain ``kill`` stops the server through aclose(), as SIGINT
+    does; dying on the signal's default action would orphan its pool
+    workers, idle but alive."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--store", str(tmp_path / "store"), "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env,
+    )
+    workers: list[int] = []
+    try:
+        port = _read_port(proc, deadline=time.monotonic() + 30.0)
+        status, _ = asyncio.run(asyncio.wait_for(
+            _post("127.0.0.1", port, _payload()), timeout=60))
+        assert status == 200
+        workers = _children(proc.pid)
+        assert workers, "the miss forked no pool worker"
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while orphans := [pid for pid in workers
+                          if os.path.exists(f"/proc/{pid}")]:
+            if time.monotonic() > deadline:
+                for pid in orphans:
+                    os.kill(pid, signal.SIGKILL)
+                break
+            time.sleep(0.05)
+    assert code == 0
+    assert not orphans, f"orphaned pool workers: {orphans}"
 
 
 def test_repeat_request_is_a_store_hit_not_a_run(tmp_path, monkeypatch):
@@ -459,6 +651,31 @@ def test_http_stream_emits_progress_then_result(tmp_path, monkeypatch):
     assert events[-1] == "result"
     assert lines[-1]["record"]["status"] == "ok"
     assert lines[-1]["source"] == "computed"
+
+
+def test_http_pooled_stream_emits_lifecycle_then_result(tmp_path):
+    """A streamed miss on a pooled dispatcher: no span events (those
+    come only from in-process execution), but the full lifecycle."""
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            server.host, server.port)
+        body = json.dumps(_payload(stream=True)).encode()
+        writer.write(
+            f"POST /v1/cts HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        await writer.drain()
+        data = await asyncio.wait_for(reader.read(), timeout=60)
+        writer.close()
+        return data
+
+    data = _serve(tmp_path, scenario, jobs=2)
+    _, _, payload = data.partition(b"\r\n\r\n")
+    lines = [json.loads(line) for line in payload.split(b"\r\n")
+             if line.startswith(b"{")]
+    events = [e["event"] for e in lines]
+    assert events == ["accepted", "queued", "started", "done", "result"]
+    assert lines[-1]["source"] == "computed"
+    assert lines[-1]["record"]["status"] == "ok"
 
 
 def test_http_pooled_workers_do_not_capture_server_sockets(tmp_path):
