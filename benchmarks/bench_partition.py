@@ -1,10 +1,10 @@
 """Microbench: ``balanced_kmeans`` at the two ends of the halving ladder.
 
 The placement is ``repro.perf.make_uniform_sinks(14000, 0)``, the
-uniform 14k-sink design.  Its level-0 partition halves ``max_size``
-32 -> 16 -> 8 -> 4 while the worst cluster overruns the cap budget, so
-``max_size`` 32 (438 clusters) and 4 (3500 clusters, every one filled
-to capacity) bracket the cost of one partition call.  Run with::
+uniform 14k-sink design.  ``max_size`` 32 is its level-0 partition (one
+pass over 16 spatial blocks, 438 clusters); 4 is the deepest rung the
+flow's halving loop uses on a level whose clusters overrun the cap
+budget (3500 clusters, every one filled to capacity).  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_partition.py
 """

@@ -14,7 +14,8 @@
    paper's method, default) or the exact Eq. (6) delay as its
    ``subtree_delay``.
 
-The loop ends when the surviving taps fit one net from the clock source;
+The loop ends when the surviving taps fit one net from the clock source
+within both ``max_fanout`` and ``max_cap`` (estimated as for a cluster);
 cluster trees are then grafted into their parent nets to form the final
 routed tree, which :func:`repro.cts.evaluation.evaluate_solution` scores.
 
@@ -282,7 +283,12 @@ class HierarchicalCTS:
         ) if workers > 1 else None
 
         try:
-            while len(current) > cons.max_fanout:
+            # the top net must fit fanout and cap; the cap estimate only
+            # runs once the count fits, so large levels never pay for it
+            while len(current) > cons.max_fanout or (
+                    len(current) > 1
+                    and cluster_cap(Cluster(current, source),
+                                    self._tech.unit_cap) > cons.max_cap):
                 mark = len(diag.events)
                 with TRACER.span("level", level=level, sinks=len(current)):
                     clusters, sa_before, sa_after, next_sinks, \

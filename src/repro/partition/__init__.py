@@ -1,12 +1,12 @@
 """Partitioning substrate for the hierarchical CTS flow (paper Section 3.2).
 
 * :mod:`kmeans` — balanced K-means: Lloyd iterations (k-means++ seeded,
-  deterministic) followed by capacity-respecting assignment;
-* :mod:`mcf` — capacitated balanced assignment, the min-cost-flow step:
-  exact rectangular assignment (scipy) while the capacity-expanded cost
-  matrix fits, a regret-greedy fallback beyond it (see DESIGN.md);
-* :mod:`nearest` — exact kd-tree nearest-center candidates shared by the
-  Lloyd labelling and the regret-greedy tier;
+  deterministic) followed by capacity-respecting assignment, run on
+  spatial blocks of at most 1,024 points;
+* :mod:`mcf` — capacitated balanced assignment, the min-cost-flow step,
+  solved exactly by rectangular assignment (scipy);
+* :mod:`nearest` — exact kd-tree nearest-center candidates for the
+  Lloyd labelling;
 * :mod:`clustering` — the latency/capacitance-adaptive clustering cost
   Cost^k = p * var(Cap^k) + q * var(T^k) and a silhouette score;
 * :mod:`annealing` — the simulated-annealing refinement with convex-hull

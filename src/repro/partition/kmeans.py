@@ -5,6 +5,9 @@ seeding; ``balanced_kmeans`` caps cluster sizes (the fanout constraint) by
 re-assigning points through :func:`repro.partition.mcf.balanced_assign`,
 following Han et al.'s K-means + min-cost-flow recipe the paper builds on
 (the capacitated assignment is that min-cost flow, solved exactly).
+Inputs larger than :data:`_BLOCK` points are first bisected into spatial
+blocks, each clustered on its own, so every assignment stays small
+enough to solve exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,12 @@ from repro.geometry import Point
 from repro.obs.metrics import METRICS
 from repro.partition.mcf import balanced_assign
 from repro.partition.nearest import dense_row, nearest_candidates
+
+#: Most points one exact k-means + assignment solve takes.  A block of
+#: n points expands to an n x n assignment matrix (about 1 M entries
+#: here), and Lloyd plus k-means++ cost O(n * k) per pass, so blocks
+#: keep the whole partition near-linear in the level size.
+_BLOCK = 1024
 
 #: Nearest centers fetched per point for Lloyd labelling.  Two settle
 #: almost every row; the third lets a two-way tie at the minimum resolve
@@ -122,6 +131,31 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
+def _spatial_blocks(
+    coords: np.ndarray, idx: np.ndarray, max_size: int
+) -> list[np.ndarray]:
+    """Input indices of each spatial block of ``coords[idx]``, in order.
+
+    A set of more than ``_BLOCK`` (and more than ``max_size``) points is
+    ordered along its wider axis (by that coordinate, then the other
+    one, then input index) and cut in two.  The cut sits at the multiple
+    of ``max_size`` nearest half the set (ties to even, at least
+    ``max_size``), so every block but one holds whole clusters.  A
+    block lists its indices in the order of its last cut.  Blocks depend
+    on the points and ``max_size`` alone.
+    """
+    n = len(idx)
+    if n <= _BLOCK or n <= max_size:
+        return [idx]
+    xy = coords[idx]
+    extent = xy.max(axis=0) - xy.min(axis=0)
+    axis = 0 if extent[0] >= extent[1] else 1
+    order = idx[np.lexsort((idx, xy[:, 1 - axis], xy[:, axis]))]
+    cut = max_size * max(1, round(n / (2 * max_size)))
+    return (_spatial_blocks(coords, order[:cut], max_size)
+            + _spatial_blocks(coords, order[cut:], max_size))
+
+
 def balanced_kmeans(
     points: list[Point],
     max_size: int,
@@ -132,14 +166,36 @@ def balanced_kmeans(
 
     The cluster count is ceil(n / (max_size * utilisation)); after Lloyd
     converges, points are re-assigned under capacity by exact capacitated
-    assignment (or its documented greedy fallback at scale).  ``slack``
-    < 1 leaves headroom in each cluster (useful before SA refinement
-    moves nodes).
+    assignment.  ``slack`` < 1 leaves headroom in each cluster (useful
+    before SA refinement moves nodes).  More than ``_BLOCK`` points are
+    split by :func:`_spatial_blocks` and each block is clustered alone
+    with the same seed; a block's labels follow the centers of the
+    blocks before it.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not 0 < slack <= 1:
         raise ValueError(f"slack must be in (0, 1], got {slack}")
+    n = len(points)
+    coords = np.array([[p.x, p.y] for p in points])
+    centers: list[Point] = []
+    labels = [0] * n
+    for block in _spatial_blocks(coords, np.arange(n), max_size):
+        block = block.tolist()
+        block_centers, block_labels = _balanced_block(
+            [points[i] for i in block], max_size, seed, slack
+        )
+        for i, label in zip(block, block_labels):
+            labels[i] = label + len(centers)
+        centers.extend(block_centers)
+    return centers, labels
+
+
+def _balanced_block(
+    points: list[Point], max_size: int, seed: int, slack: float
+) -> tuple[list[Point], list[int]]:
+    """Balanced K-means on one spatial block: Lloyd, then exact
+    capacitated assignment if any cluster overruns ``max_size``."""
     n = len(points)
     target = max(1, int(max_size * slack))
     k = max(1, math.ceil(n / target))

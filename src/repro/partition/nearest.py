@@ -1,9 +1,8 @@
 """Exact nearest-center candidates from a kd-tree (Manhattan metric).
 
-The Lloyd labelling in :mod:`repro.partition.kmeans` and the
-regret-greedy tier in :mod:`repro.partition.mcf` only ever look at the
-few centers closest to each point, never at the whole n x k distance
-matrix.  :func:`nearest_candidates` answers that with one
+The Lloyd labelling in :mod:`repro.partition.kmeans` only ever looks
+at the few centers closest to each point, never at the whole n x k
+distance matrix.  :func:`nearest_candidates` answers that with one
 ``cKDTree(centers)`` query and re-derives every candidate distance with
 the same ``|x - cx| + |y - cy|`` float expression as :func:`dense_row`,
 so a caller can prove, row by row, whether the candidates decide its

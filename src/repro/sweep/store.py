@@ -48,7 +48,10 @@ _LOG = get_logger("sweep")
 #: change; part of every cache key, so stale records are never reused.
 #: v2: execution-fabric knobs (``jobs``, deadlines, retry budgets) left
 #: the canonical config, so records no longer vary with them.
-RESULT_SCHEMA_VERSION = 2
+#: v3: the flow partitions large levels in exact spatial blocks and
+#: adds a level while the top net's estimated cap is over bound, so
+#: records of designs past either threshold changed.
+RESULT_SCHEMA_VERSION = 3
 
 
 def canonical_json(obj) -> str:

@@ -222,3 +222,46 @@ def test_top_net_buffers_surface_on_result_and_metrics():
     assert METRICS.counter("cts.top_buffers") == result.top_buffers
     # the top net's buffers exist in the assembled tree as well
     assert len(result.tree.buffer_node_ids()) >= result.top_buffers
+
+
+# ----------------------------------------------------------------------
+# Partition at scale and the level-loop exit
+# ----------------------------------------------------------------------
+def test_level0_partition_of_14k_uniform_sinks_is_one_pass():
+    """Exact per-block assignment leaves no level-0 cluster over cap, so
+    14,000 uniform sinks partition once into n / max_fanout clusters
+    (whole-level halving used to collapse them to 3,500)."""
+    from repro.flowguard.diagnostics import FlowDiagnostics
+    from repro.obs import METRICS
+    from repro.partition import cluster_cap
+    from repro.perf import make_uniform_sinks
+
+    sinks, _ = make_uniform_sinks(14000, 0)
+    flow = HierarchicalCTS()
+    before = METRICS.counter("partition.resplit")
+    clusters, _, _ = flow._partition(sinks, 0, FlowDiagnostics())
+    assert METRICS.counter("partition.resplit") == before
+    assert len(clusters) == 438
+    unit_cap = Technology().unit_cap
+    assert max(cluster_cap(c, unit_cap) for c in clusters) <= TABLE5.max_cap
+
+
+def test_top_net_over_cap_gains_a_level():
+    """24 sinks fit one net by fanout, but spread over 600 um their
+    estimated load exceeds the cap bound: the loop must add a level
+    rather than route them all from the source."""
+    from repro.partition import Cluster, cluster_cap
+
+    tech = Technology()
+    sinks = make_sinks(24, box=600.0)
+    source = Point(300.0, 300.0)
+    assert len(sinks) <= TABLE5.max_fanout
+    assert cluster_cap(Cluster(sinks, source), tech.unit_cap) > TABLE5.max_cap
+    flow = HierarchicalCTS(tech=tech, config=FlowConfig(sa_iterations=50))
+    result = flow.run(sinks, source)
+    assert result.levels
+    assert result.levels[-1].num_clusters < len(sinks)
+    assert sorted(s.name for s in result.tree.sinks()) == sorted(
+        f"ff{i}" for i in range(24)
+    )
+    result.tree.validate()

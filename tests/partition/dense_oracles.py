@@ -3,7 +3,8 @@
 These are the straightforward full-matrix implementations the kd-tree
 kernels in ``repro.partition`` replaced.  They are kept verbatim as
 test oracles: the production kernels must reproduce their outputs byte
-for byte, ties included.
+for byte, ties included.  ``spatial_blocks`` restates the block rule of
+``balanced_kmeans`` with plain Python sorts and integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,11 +13,6 @@ import numpy as np
 
 #: Upper bound on the elements of any point x center distance block.
 _CHUNK_ELEMS = 4_000_000
-
-
-def dense_dists(px, py, cx, cy) -> np.ndarray:
-    """The full point x center Manhattan distance matrix."""
-    return np.abs(px[:, None] - cx[None, :]) + np.abs(py[:, None] - cy[None, :])
 
 
 def nearest_center_labels(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -67,38 +63,31 @@ def kmeans_pp_init(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def regret_greedy(dists: np.ndarray, capacity: int) -> list[int]:
-    """Vectorised regret-ordered greedy with overflow spill."""
-    n, k = dists.shape
-    order_all = np.empty((n, k), dtype=np.int32)
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        order_all[lo:hi] = np.argsort(dists[lo:hi], axis=1)
-    rows = np.arange(n)
-    best = dists[rows, order_all[:, 0]]
-    second = dists[rows, order_all[:, min(1, k - 1)]]
-    return _regret_scan(order_all, best, second, capacity)
+def spatial_blocks(coords: np.ndarray, max_size: int, block: int) -> list[list[int]]:
+    """The spatial block rule written out with Python sorts.
 
+    A set of more than ``block`` (and more than ``max_size``) points is
+    sorted along its wider axis (that coordinate, the other one, then
+    input index) and cut at the multiple of ``max_size`` nearest half
+    the set (ties to the even multiple, at least ``max_size``); each
+    half is split again the same way.  Returns every block's input
+    indices, in the order of its last cut.
+    """
+    pts = coords.tolist()
 
-def _regret_scan(
-    order_all: np.ndarray, best: np.ndarray, second: np.ndarray,
-    capacity: int,
-) -> list[int]:
-    n, k = order_all.shape
-    regret_order = np.argsort(-(second - best))
-    remaining = np.full(k, capacity, dtype=np.int64)
-    assignment = [-1] * n
-    for i in regret_order:
-        row = order_all[i]
-        chosen = -1
-        for j in row[:64]:
-            if remaining[j] > 0:
-                chosen = int(j)
-                break
-        if chosen < 0:
-            chosen = int(row[int(np.argmax(remaining[row] > 0))])
-        assignment[int(i)] = chosen
-        remaining[chosen] -= 1
-    assert all(a >= 0 for a in assignment)
-    return assignment
+    def split(idx: list[int]) -> list[list[int]]:
+        n = len(idx)
+        if n <= block or n <= max_size:
+            return [idx]
+        xs = [pts[i][0] for i in idx]
+        ys = [pts[i][1] for i in idx]
+        axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1
+        ordered = sorted(idx, key=lambda i: (pts[i][axis], pts[i][1 - axis], i))
+        # half the set is n / (2 * max_size) clusters: round that to the
+        # nearest integer, a tie (remainder exactly max_size) to even
+        whole, rest = divmod(n, 2 * max_size)
+        count = whole + (rest > max_size or (rest == max_size and whole % 2))
+        cut = max(1, count) * max_size
+        return split(ordered[:cut]) + split(ordered[cut:])
+
+    return split(list(range(len(pts))))

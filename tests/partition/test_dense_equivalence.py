@@ -3,13 +3,13 @@ n x k oracles in ``dense_oracles``.
 
 Every property demands byte equality, not approximate agreement, and
 the inputs are built to be tie-heavy: integer-snapped lattices put many
-centers at equal Manhattan distance, duplicate points and coincident
-centers tie exactly, and capacity 1 exhausts the regret tier's
-candidate windows so the dense-row fallback runs.
+centers at equal Manhattan distance, and duplicate points and
+coincident centers tie exactly.
 """
 
-import functools
 import importlib
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -19,9 +19,8 @@ from repro.obs.metrics import METRICS
 from tests.partition import dense_oracles as oracle
 
 # ``repro.partition`` re-exports the ``kmeans`` function under the
-# module's name, so bind the modules explicitly.
+# module's name, so bind the module explicitly.
 kmeans_mod = importlib.import_module("repro.partition.kmeans")
-mcf_mod = importlib.import_module("repro.partition.mcf")
 
 
 def _coordinate(lattice):
@@ -47,10 +46,6 @@ def placements(draw):
     if k > 1 and draw(st.booleans()):
         ctr[1:k // 2 + 1] = [ctr[0]] * (k // 2)  # coincident centers
     return np.array(pts, dtype=float), np.array(ctr, dtype=float)
-
-
-def _columns(a):
-    return a[:, 0].copy(), a[:, 1].copy()
 
 
 def _bytes_equal(a, b):
@@ -87,56 +82,62 @@ def test_kmeans_pp_init_matches_dense(case, seed):
                         oracle.kmeans_pp_init(pts, k, seed))
 
 
-@given(placements(), st.sampled_from(["one", "tight", "loose"]), st.data())
-@settings(max_examples=100, deadline=None)
-def test_regret_greedy_matches_dense(case, mode, data):
-    pts, ctr = case
-    k = len(ctr)
-    if mode == "one":
-        pts = pts[:k]  # capacity 1 needs k >= n
-        capacity = 1
-    else:
-        capacity = -(-len(pts) // k)
-        if mode == "loose":
-            capacity += data.draw(st.integers(1, 3))
-    px, py = _columns(pts)
-    cx, cy = _columns(ctr)
-    assert mcf_mod._regret_greedy_kd(px, py, cx, cy, capacity) == \
-        oracle.regret_greedy(oracle.dense_dists(px, py, cx, cy), capacity)
-
-
-def test_capacity_one_lattice_exercises_dense_fallback():
-    rng = np.random.default_rng(3)
-    pts = rng.integers(0, 20, size=(300, 2)).astype(float)
-    ctr = rng.integers(0, 20, size=(300, 2)).astype(float)
-    px, py = _columns(pts)
-    cx, cy = _columns(ctr)
-    before = METRICS.counter("partition.exact_fallback_rows")
-    got = mcf_mod._regret_greedy_kd(px, py, cx, cy, 1)
-    assert METRICS.counter("partition.exact_fallback_rows") > before
-    assert got == oracle.regret_greedy(oracle.dense_dists(px, py, cx, cy), 1)
-    assert sorted(got) == list(range(300))
-
-
 def test_balanced_kmeans_matches_dense_pipeline(monkeypatch):
     rng = np.random.default_rng(11)
-    coords = rng.integers(0, 60, size=(1500, 2)).astype(float)
+    coords = rng.integers(0, 60, size=(1492, 2)).astype(float)
     points = [Point(float(x), float(y)) for x, y in coords]
-    # route the rebalance through the regret tier, as at flow scale
-    monkeypatch.setattr(kmeans_mod, "balanced_assign",
-                        functools.partial(mcf_mod.balanced_assign, lsa_limit=0))
-    before = METRICS.counter("partition.assign_regret_greedy")
+    before = METRICS.counter("partition.assign_lsa")
     got = kmeans_mod.balanced_kmeans(points, max_size=4, seed=5)
-    assert METRICS.counter("partition.assign_regret_greedy") == before + 1
+    # half of 1492 points is 186.5 clusters of 4; the tie goes to the
+    # even 186, so the cut is at 744 (rounding half up would give 748):
+    # two blocks, each rebalanced by one exact solve
+    blocks = oracle.spatial_blocks(coords, 4, kmeans_mod._BLOCK)
+    assert [len(b) for b in blocks] == [744, 748]
+    assert METRICS.counter("partition.assign_lsa") == before + 2
 
     monkeypatch.setattr(kmeans_mod, "_nearest_center_labels",
                         oracle.nearest_center_labels)
     monkeypatch.setattr(kmeans_mod, "_group_medians", oracle.group_medians)
     monkeypatch.setattr(kmeans_mod, "_kmeans_pp_init", oracle.kmeans_pp_init)
-    monkeypatch.setattr(
-        mcf_mod, "_regret_greedy_kd",
-        lambda px, py, cx, cy, cap: oracle.regret_greedy(
-            oracle.dense_dists(px, py, cx, cy), cap),
-    )
-    assert repr(got) == repr(kmeans_mod.balanced_kmeans(points, max_size=4,
-                                                        seed=5))
+    centers, labels = [], [None] * len(points)
+    for block in blocks:
+        c, lab = kmeans_mod.balanced_kmeans([points[i] for i in block],
+                                            max_size=4, seed=5)
+        for i, label in zip(block, lab):
+            labels[i] = label + len(centers)
+        centers += c
+    assert repr(got) == repr((centers, labels))
+
+
+@st.composite
+def block_placements(draw):
+    """Placements of up to 300 points, tie-heavy on small lattices."""
+    lattice = draw(st.sampled_from([3, 20, None]))
+    point = st.tuples(_coordinate(lattice), _coordinate(lattice))
+    pts = draw(st.lists(point, min_size=1, max_size=300))
+    if draw(st.booleans()):
+        pts += pts[: draw(st.integers(1, len(pts)))]  # duplicate points
+    return [Point(x, y) for x, y in pts]
+
+
+@given(block_placements(), st.integers(1, 100), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_blocked_balanced_kmeans_properties(points, max_size, seed):
+    block = 64  # below and above max_size across the draws
+    with mock.patch.object(kmeans_mod, "_BLOCK", block):
+        centers, labels = kmeans_mod.balanced_kmeans(points, max_size, seed)
+        again = kmeans_mod.balanced_kmeans(points, max_size, seed)
+    assert repr(again) == repr((centers, labels))
+    n = len(points)
+    assert len(centers) == math.ceil(n / max_size)
+    assert len(labels) == n
+    assert all(0 <= label < len(centers) for label in labels)
+    counts = np.bincount(labels, minlength=len(centers))
+    assert counts.max() <= max_size
+    coords = np.array([[p.x, p.y] for p in points])
+    blocks = oracle.spatial_blocks(coords, max_size, block)
+    where = {i: b for b, members in enumerate(blocks) for i in members}
+    spans = {}
+    for i, label in enumerate(labels):
+        spans.setdefault(label, set()).add(where[i])
+    assert all(len(s) == 1 for s in spans.values())

@@ -95,15 +95,18 @@ def test_balanced_assign_respects_capacity_at_scale():
     assert sum(counts) == 300
 
 
-def test_balanced_assign_greedy_fallback():
+def test_balanced_assign_refuses_oversized_instance():
+    # 2,001 x 100 x 201 is just over the 40 M-entry budget; the old
+    # greedy tier would have answered approximately
     rng = random.Random(2)
-    points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(200)]
-    centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10)]
-    before = METRICS.counter("partition.assign_regret_greedy")
-    assignment = balanced_assign(points, centers, capacity=20, lsa_limit=0)
-    assert METRICS.counter("partition.assign_regret_greedy") == before + 1
-    counts = [assignment.count(j) for j in range(10)]
-    assert max(counts) <= 20 and sum(counts) == 200
+    points = [Point(rng.uniform(0, 100), rng.uniform(0, 100))
+              for _ in range(2001)]
+    centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100))
+               for _ in range(100)]
+    before = METRICS.counter("partition.assign_lsa")
+    with pytest.raises(ValueError, match="exact assignment budget"):
+        balanced_assign(points, centers, capacity=201)
+    assert METRICS.counter("partition.assign_lsa") == before
 
 
 def test_balanced_assign_infeasible():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.sweep.store import SweepStore
+from repro.sweep.store import RESULT_SCHEMA_VERSION, SweepStore
 
 from tests.predict.conftest import SMOKE_RECORDS
 
@@ -154,7 +154,7 @@ def test_store_stats_and_gc(smoke_store, capsys):
     assert main(["store", "stats", str(smoke_store), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["records"] == 8
-    assert stats["schemas"] == {"2": 8}
+    assert stats["schemas"] == {str(RESULT_SCHEMA_VERSION): 8}
     assert "s38584@0.05" in stats["designs"]
 
     # plant an old-schema record; gc is dry-run by default
@@ -175,7 +175,7 @@ def test_store_stats_and_gc(smoke_store, capsys):
 
 def test_store_gc_refuses_current_schema(smoke_store, capsys):
     assert main(["store", "gc", str(smoke_store),
-                 "--schema-version", "2"]) == 2
+                 "--schema-version", str(RESULT_SCHEMA_VERSION)]) == 2
     assert "refusing" in capsys.readouterr().err
 
 
