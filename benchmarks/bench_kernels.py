@@ -1,10 +1,13 @@
-"""Microbench: ``refine`` and Elmore analysis at the flow's net sizes.
+"""Microbench: CBS construction, ``refine`` and Elmore analysis at the
+flow's net sizes.
 
 The hierarchical flow routes nets of at most ``max_fanout`` = 32 sinks,
 so its per-net kernels only ever see trees of a few dozen nodes.  This
-bench times both on CBS nets of 8, 16 and 32 sinks, the traced
-benchmark's ``core.cbs_calls.le8/le16/le32`` buckets:
+bench times them on the same random nets of 8, 16 and 32 sinks, the
+traced benchmark's ``core.cbs_calls.le8/le16/le32`` buckets:
 
+* ``cbs`` building each net's tree from scratch (both ``refine`` calls
+  included), as the flow routes a cluster net;
 * ``refine`` on every tree CBS hands it (the Step 2 skeleton and the
   Step 3 SALT tree), each on a fresh copy;
 * ``ElmoreAnalyzer.analyze`` on each routed net with its root driver
@@ -38,8 +41,8 @@ SKEW_BOUND_PS = 80.0  # Table 5
 @pytest.fixture(scope="module", params=(8, 16, 32),
                 ids=lambda n: f"{n}sinks")
 def cbs_nets(request):
-    """CBS trees of ``NETS_PER_SIZE`` random nets of ``request.param``
-    sinks, and a copy of every tree CBS refined while routing them."""
+    """``NETS_PER_SIZE`` random nets of ``request.param`` sinks, their
+    CBS trees, and a copy of every tree CBS refined while routing them."""
     rng = random.Random(request.param)
     refined = []
 
@@ -47,21 +50,32 @@ def cbs_nets(request):
         refined.append(tree.copy())
         return refine(tree, *args, **kwargs)
 
+    nets = [random_clock_net(rng, n_pins=request.param, name=f"n{i}")
+            for i in range(NETS_PER_SIZE)]
     routed = []
     with pytest.MonkeyPatch.context() as mp:
         for module in ("repro.core.cbs", "repro.salt.salt"):
             mp.setattr(importlib.import_module(module), "refine", capture)
-        for i in range(NETS_PER_SIZE):
-            net = random_clock_net(rng, n_pins=request.param,
-                                   name=f"n{i}")
+        for net in nets:
             tree = cbs(net, SKEW_BOUND_PS, model=ElmoreDelay(TECH))
             place_driver(tree, default_library(), TECH)
             routed.append(tree)
-    return routed, refined
+    return nets, routed, refined
+
+
+def test_cbs_construction(benchmark, cbs_nets):
+    nets, _, _ = cbs_nets
+    model = ElmoreDelay(TECH)
+
+    def run():
+        return [cbs(net, SKEW_BOUND_PS, model=model) for net in nets]
+
+    trees = benchmark.pedantic(run, rounds=10, iterations=1)
+    assert len(trees) == NETS_PER_SIZE
 
 
 def test_refine_cbs_nets(benchmark, cbs_nets):
-    _, refined = cbs_nets
+    _, _, refined = cbs_nets
 
     def fresh_copies():
         return ([t.copy() for t in refined],), {}
@@ -75,7 +89,7 @@ def test_refine_cbs_nets(benchmark, cbs_nets):
 
 
 def test_analyze_cbs_nets(benchmark, cbs_nets):
-    routed, _ = cbs_nets
+    _, routed, _ = cbs_nets
     analyzer = ElmoreAnalyzer(TECH)
     reports = benchmark(lambda: [analyzer.analyze(t) for t in routed])
     assert len(reports) == NETS_PER_SIZE

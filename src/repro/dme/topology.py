@@ -89,7 +89,7 @@ def _agglomerate_batched(sinks: list[Sink], use_delay: bool) -> TopologyNode:
             delay = np.array([c.delay_est for c in clusters])
             costm = np.maximum(
                 costm, np.abs(np.subtract.outer(delay, delay)))
-        costm[np.tril_indices(m)] = np.inf
+        costm[np.tri(m, dtype=bool)] = np.inf
         i, j = divmod(int(np.argmin(costm)), m)
         merged = _merge_clusters(clusters[i], clusters[j])
         clusters.pop(j)

@@ -55,10 +55,6 @@ class RoutedTree:
     def __init__(self, root_location: Point):
         self._nodes: dict[int, TreeNode] = {}
         self._next_id = 0
-        self._structure_version = 0
-        self._intervals_version = -1
-        self._tin: dict[int, int] = {}
-        self._tout: dict[int, int] = {}
         self._root = self._new_node(root_location)
 
     # ------------------------------------------------------------------
@@ -88,7 +84,6 @@ class RoutedTree:
         node.sink = sink
         node.detour = detour
         self._nodes[parent].children.append(nid)
-        self._structure_version += 1
         return nid
 
     def set_buffer(self, nid: int, buffer: BufferType | None) -> None:
@@ -116,7 +111,6 @@ class RoutedTree:
         node.parent = new_parent
         node.detour = detour
         self._nodes[new_parent].children.append(nid)
-        self._structure_version += 1
 
     def _would_create_cycle(self, nid: int, new_parent: int) -> bool:
         cur: int | None = new_parent
@@ -145,7 +139,6 @@ class RoutedTree:
             child.parent = parent
             self._nodes[parent].children.append(child_id)
         del self._nodes[nid]
-        self._structure_version += 1
 
     # ------------------------------------------------------------------
     # Access
@@ -197,35 +190,6 @@ class RoutedTree:
             order.append(nid)
             stack.extend(self._nodes[nid].children)
         return order
-
-    # ------------------------------------------------------------------
-    # Preorder interval (Euler-tour) numbering
-    # ------------------------------------------------------------------
-    def preorder_intervals(self) -> tuple[dict[int, int], dict[int, int]]:
-        """``(tin, tout)`` preorder interval numbering of the tree.
-
-        ``b`` lies in ``a``'s subtree (inclusive) iff
-        ``tin[a] <= tin[b] < tout[a]``.  The numbering is cached and
-        recomputed lazily when the structure has mutated since the last
-        call, so ancestry tests amortise to O(1) between mutations —
-        the workhorse behind the refinement pass's blocked-subtree test,
-        which previously rebuilt an O(n) descendant set per query.
-        """
-        if self._intervals_version != self._structure_version:
-            tin: dict[int, int] = {}
-            size: dict[int, int] = {}
-            order = self.preorder()
-            for i, nid in enumerate(order):
-                tin[nid] = i
-                size[nid] = 1
-            for nid in reversed(order):
-                parent = self._nodes[nid].parent
-                if parent is not None:
-                    size[parent] += size[nid]
-            self._tin = tin
-            self._tout = {nid: tin[nid] + size[nid] for nid in order}
-            self._intervals_version = self._structure_version
-        return self._tin, self._tout
 
     # ------------------------------------------------------------------
     # Metrics
@@ -298,10 +262,6 @@ class RoutedTree:
         clone = RoutedTree.__new__(RoutedTree)
         clone._next_id = self._next_id
         clone._root = self._root
-        clone._structure_version = 0
-        clone._intervals_version = -1
-        clone._tin = {}
-        clone._tout = {}
         clone._nodes = {}
         for nid, node in self._nodes.items():
             clone._nodes[nid] = TreeNode(

@@ -10,15 +10,24 @@ Steiner tree typically within a few percent of optimal for clock-net sizes.
 
 from __future__ import annotations
 
-from repro.geometry import Point, manhattan
+from repro.geometry import Point
 from repro.netlist.tree import RoutedTree
+from repro.obs.metrics import METRICS
 
 
-def _median(a: Point, b: Point, c: Point) -> Point:
-    return Point(
-        sorted((a.x, b.x, c.x))[1],
-        sorted((a.y, b.y, c.y))[1],
-    )
+def _median(a: float, b: float, c: float) -> float:
+    """Middle value of three, the element ``sorted((a, b, c))[1]`` picks.
+
+    Decided by comparisons; on ties the stable sort's choice is kept,
+    so signed zeros come out the same too.
+    """
+    if b < a:
+        if c < b:
+            return b
+        return c if c < a else a
+    if c < a:
+        return a
+    return c if c < b else b
 
 
 def median_steinerize(
@@ -26,6 +35,7 @@ def median_steinerize(
     tol: float = 1e-9,
     max_passes: int = 20,
     changes: list[tuple[float, float, float, float]] | None = None,
+    clean: set[int] | None = None,
 ) -> float:
     """Insert median Steiner points in place; returns total length saved.
 
@@ -48,13 +58,30 @@ def median_steinerize(
     the path to c and hence to c's whole subtree, making every edge of
     that subtree a potentially easier attachment target even though its
     geometry is untouched; each of those edges is therefore logged too.
+
+    A node whose evaluation finds no gain joins the *clean* set and is
+    skipped while it stays there.  Evaluating node u reads only u's
+    parent, detour and children list, and the locations and detours of
+    those nodes, so the skip is exact while none of these change.  Every
+    collapse discards each node whose parent or children it changes, so
+    within one call later passes only re-evaluate what a collapse
+    touched.  ``clean``, when given, is the set itself, kept by a caller
+    across calls; a caller that edits the tree between calls must
+    discard the nodes whose inputs its edits change (for ``reparent``
+    and ``add_child``, those whose parent or children change).  Skips
+    are counted as ``salt.median_skips``.
     """
+    if clean is None:
+        clean = set()
     total_gain = 0.0
+    skips = 0
     for _ in range(max_passes):
-        gain = _one_pass(tree, tol, changes)
+        gain, n = _one_pass(tree, tol, changes, clean)
+        skips += n
         if gain <= tol:
             break
         total_gain += gain
+    METRICS.inc("salt.median_skips", skips)
     return total_gain
 
 
@@ -62,14 +89,27 @@ def _one_pass(
     tree: RoutedTree,
     tol: float,
     changes: list[tuple[float, float, float, float]] | None,
-) -> float:
+    clean: set[int],
+) -> tuple[float, int]:
     gain = 0.0
-    for nid in list(tree.preorder()):
+    skips = 0
+    for nid in tree.preorder():
         if nid not in tree:
             continue
-        gain += _collapse_children_pairs(tree, nid, tol, changes)
-        gain += _collapse_parent_child(tree, nid, tol, changes)
-    return gain
+        if nid in clean:
+            skips += 1
+            continue
+        if not tree.node(nid).children:
+            # both patterns need a child: a leaf never gains
+            clean.add(nid)
+            continue
+        pair_gain = _collapse_children_pairs(tree, nid, tol, changes, clean)
+        gain += pair_gain
+        pc_gain = _collapse_parent_child(tree, nid, tol, changes, clean)
+        gain += pc_gain
+        if pair_gain == 0.0 and pc_gain == 0.0:
+            clean.add(nid)
+    return gain, skips
 
 
 def _note_change(
@@ -86,36 +126,46 @@ def _collapse_children_pairs(
     tree: RoutedTree,
     nid: int,
     tol: float,
-    changes: list[tuple[float, float, float, float]] | None = None,
+    changes: list[tuple[float, float, float, float]] | None,
+    clean: set[int],
 ) -> float:
     gain = 0.0
     improved = True
     while improved:
         improved = False
         node = tree.node(nid)
-        children = [c for c in node.children if tree.node(c).detour <= tol]
+        ux, uy = node.location.x, node.location.y
+        kids = []
+        for c in node.children:
+            child = tree.node(c)
+            if child.detour <= tol:
+                kids.append((c, child.location.x, child.location.y))
         best = None
         best_gain = tol
-        for i in range(len(children)):
-            for j in range(i + 1, len(children)):
-                c1, c2 = children[i], children[j]
-                p1 = tree.node(c1).location
-                p2 = tree.node(c2).location
-                m = _median(node.location, p1, p2)
-                old = manhattan(node.location, p1) + manhattan(node.location, p2)
-                new = (
-                    manhattan(node.location, m)
-                    + manhattan(m, p1)
-                    + manhattan(m, p2)
-                )
+        for i in range(len(kids)):
+            c1, x1, y1 = kids[i]
+            d1 = abs(ux - x1) + abs(uy - y1)
+            for j in range(i + 1, len(kids)):
+                c2, x2, y2 = kids[j]
+                mx = _median(ux, x1, x2)
+                my = _median(uy, y1, y2)
+                # summed per point pair, as manhattan() sums are, so the
+                # floats are the reference's
+                old = d1 + (abs(ux - x2) + abs(uy - y2))
+                new = ((abs(ux - mx) + abs(uy - my))
+                       + (abs(mx - x1) + abs(my - y1))
+                       + (abs(mx - x2) + abs(my - y2)))
                 if old - new > best_gain:
                     best_gain = old - new
-                    best = (c1, c2, m)
+                    best = (c1, c2, mx, my)
         if best is not None:
-            c1, c2, m = best
-            steiner = tree.add_child(nid, m)
+            c1, c2, mx, my = best
+            steiner = tree.add_child(nid, Point(mx, my))
             tree.reparent(c1, steiner)
             tree.reparent(c2, steiner)
+            clean.discard(nid)
+            clean.discard(c1)
+            clean.discard(c2)
             # the median lies inside the bbox of the three endpoints, so
             # this box covers all three new edges
             _note_change(changes, (node.location, tree.node(c1).location,
@@ -129,34 +179,39 @@ def _collapse_parent_child(
     tree: RoutedTree,
     nid: int,
     tol: float,
-    changes: list[tuple[float, float, float, float]] | None = None,
+    changes: list[tuple[float, float, float, float]] | None,
+    clean: set[int],
 ) -> float:
     node = tree.node(nid)
     if node.parent is None or node.detour > tol:
         return 0.0
     parent = tree.node(node.parent)
+    px, py = parent.location.x, parent.location.y
+    ux, uy = node.location.x, node.location.y
+    d_pu = abs(px - ux) + abs(py - uy)
     best_gain = tol
     best = None
     for cid in node.children:
         child = tree.node(cid)
         if child.detour > tol:
             continue
-        m = _median(parent.location, node.location, child.location)
-        old = manhattan(parent.location, node.location) + manhattan(
-            node.location, child.location
-        )
-        new = (
-            manhattan(parent.location, m)
-            + manhattan(m, node.location)
-            + manhattan(m, child.location)
-        )
+        cx, cy = child.location.x, child.location.y
+        mx = _median(px, ux, cx)
+        my = _median(py, uy, cy)
+        old = d_pu + (abs(ux - cx) + abs(uy - cy))
+        new = ((abs(px - mx) + abs(py - my))
+               + (abs(mx - ux) + abs(my - uy))
+               + (abs(mx - cx) + abs(my - cy)))
         if old - new > best_gain:
             best_gain = old - new
-            best = (cid, m)
+            best = (cid, mx, my)
     if best is None:
         return 0.0
-    cid, m = best
-    steiner = tree.add_child(node.parent, m)
+    cid, mx, my = best
+    steiner = tree.add_child(node.parent, Point(mx, my))
+    clean.discard(node.parent)
+    clean.discard(nid)
+    clean.discard(cid)
     tree.reparent(nid, steiner)
     tree.reparent(cid, steiner)
     _note_change(changes, (parent.location, node.location,

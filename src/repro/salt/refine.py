@@ -14,10 +14,12 @@ them, which the dirty-region bookkeeping below must account for.)
 
 The edge-reattachment pass here is the flow's hottest loop (it runs on
 every routed net, several times).  It is a grid-indexed scan: a spatial
-hash over edge bounding boxes (:mod:`repro.salt.grid_index`),
-preorder-interval ancestry tests instead of per-candidate subtree
-rebuilds, and a dirty-region worklist so later sweeps only revisit nodes
-near an edge that changed.
+hash over edge bounding boxes (:mod:`repro.salt.grid_index`), one
+subtree set per evaluated mover for the ancestry test, and a
+dirty-region worklist so later sweeps only revisit nodes near an edge
+that changed.  Median steinerisation shares a *clean set* with it: a
+node whose last median evaluation found nothing is skipped until a
+mutation changes its parent or children.
 
 The pass is *output-identical* to the published all-pairs scan — the
 bbox-distance lower bound that the brute-force scan already uses for
@@ -60,13 +62,19 @@ class _RefineState:
     is exact: a node whose neighbourhood is untouched since an evaluation
     that found no move still has no move (every input of the evaluation
     is covered by the event log — see docs/ALGORITHMS.md).
+
+    ``clean`` holds the nodes whose last median evaluation found no
+    gain (see :func:`repro.rsmt.steinerize.median_steinerize`); a
+    reattachment discards every node whose parent or children it
+    changes.
     """
 
-    __slots__ = ("events", "stamp")
+    __slots__ = ("events", "stamp", "clean")
 
     def __init__(self) -> None:
         self.events: list[tuple[float, float, float, float]] = []
         self.stamp: dict[int, int] = {}
+        self.clean: set[int] = set()
 
 
 def refine(
@@ -89,7 +97,8 @@ def refine(
         for i in range(max_passes):
             with TRACER.span("pass", n=i):
                 changes: list[tuple[float, float, float, float]] = []
-                gained = median_steinerize(tree, changes=changes)
+                gained = median_steinerize(tree, changes=changes,
+                                           clean=state.clean)
                 state.events.extend(changes)
                 gained += edge_reattach_pass(tree, state=state)
             if gained <= 1e-9:
@@ -156,6 +165,9 @@ def edge_reattach_pass(
     index = EdgeGridIndex(tree)
     events = state.events
     stamp = state.stamp
+    clean = state.clean
+    root = tree.root
+    node = tree.node
     elen = index.elen
     bbox = index.bbox
     improved = True
@@ -163,10 +175,10 @@ def edge_reattach_pass(
     while improved and passes < 8:
         improved = False
         passes += 1
-        for vid in list(tree.preorder()):
-            if vid == tree.root or vid not in tree:
+        for vid in tree.preorder():
+            if vid == root:
                 continue
-            v = tree.node(vid)
+            v = node(vid)
             if v.detour > tol:
                 continue
             s = stamp.get(vid)
@@ -188,13 +200,18 @@ def edge_reattach_pass(
             if move is None:
                 continue
             edge_child, q, gain, new_pl = move
-            parent_of_edge = tree.node(edge_child).parent
+            parent_of_edge = node(edge_child).parent
+            clean.discard(v.parent)
             split = _split_edge(tree, edge_child, q, tol)
             tree.reparent(vid, split)
+            clean.discard(vid)
+            clean.discard(split)
             if split not in pl:
                 pl[split] = pl[parent_of_edge] + tree.edge_length(split)
             index.add_edge(vid)
             if split != parent_of_edge and split != edge_child:
+                clean.discard(parent_of_edge)
+                clean.discard(edge_child)
                 index.add_edge(split)
                 index.add_edge(edge_child)
                 events.append(bbox[split])
@@ -208,7 +225,7 @@ def edge_reattach_pass(
                 nid = stack.pop()
                 pl[nid] += delta
                 events.append(bbox[nid])
-                stack.extend(tree.node(nid).children)
+                stack.extend(node(nid).children)
             total_gain += gain
             n_moves += 1
             improved = True
@@ -234,8 +251,7 @@ def _events_touch(
 ) -> bool:
     """True iff an event bbox in ``[start, end)`` intrudes into the
     Manhattan ``radius`` around (vx, vy)."""
-    for i in range(start, end):
-        x1, y1, x2, y2 = events[i]
+    for x1, y1, x2, y2 in events[start:end]:
         dx = x1 - vx if x1 > vx else (vx - x2 if vx > x2 else 0.0)
         dy = y1 - vy if y1 > vy else (vy - y2 if vy > y2 else 0.0)
         if dx + dy < radius:
@@ -250,65 +266,116 @@ def _best_attachment_indexed(
     tol: float,
     index: EdgeGridIndex,
 ) -> tuple[int, Point, float, float] | None:
-    v = tree.node(vid)
+    node = tree.node
+    v = node(vid)
     vx, vy = v.location.x, v.location.y
     current_cost = index.elen[vid]
-    tin, tout = tree.preorder_intervals()
-    tv_in, tv_out = tin[vid], tout[vid]
+    # An edge lies in v's subtree iff it is v's own edge or its parent is
+    # in the subtree.  v's own edge and its children's edges are told
+    # apart by id; deeper ones need the subtree set, built on first use
+    # (a leaf never needs it).
+    blocked: set[int] | None = None
     pl_budget = pl[vid] + tol
     best = None
     best_gain = tol
     bbox = index.bbox
     for cid in index.candidates_within(vx, vy, current_cost - tol):
-        child = tree.node(cid)
-        parent_id = child.parent
-        if parent_id is None or child.detour > tol:
+        if cid == vid:
             continue
-        if tv_in <= tin[cid] < tv_out:
-            continue  # cid inside v's subtree (v itself included)
-        if tv_in <= tin[parent_id] < tv_out:
+        child = node(cid)
+        parent_id = child.parent
+        if parent_id is None or parent_id == vid or child.detour > tol:
             continue
         x1, y1, x2, y2 = bbox[cid]
         lb = (x1 - vx if x1 > vx else (vx - x2 if vx > x2 else 0.0)) \
             + (y1 - vy if y1 > vy else (vy - y2 if vy > y2 else 0.0))
         if current_cost - lb <= best_gain:
             continue
-        p = tree.node(parent_id)
-        q, walk = _nearest_on_l(p.location, child.location, v.location)
-        d = manhattan(q, v.location)
+        if v.children:
+            if blocked is None:
+                blocked = _subtree_of(tree, vid)
+            if parent_id in blocked:
+                continue
+        ploc = node(parent_id).location
+        cloc = child.location
+        qx, qy, walk, d = _nearest_on_l(ploc.x, ploc.y, cloc.x, cloc.y,
+                                        vx, vy)
         gain = current_cost - d
         if gain <= best_gain:
             continue
         new_pl = pl[parent_id] + walk + d
         if new_pl > pl_budget:
             continue  # would lengthen v's path: unsafe for shallowness
-        best = (cid, q, gain, new_pl)
+        best = (cid, qx, qy, gain, new_pl)
         best_gain = gain
-    return best
+    if best is None:
+        return None
+    cid, qx, qy, gain, new_pl = best
+    return cid, Point(qx, qy), gain, new_pl
 
 
-def _nearest_on_l(a: Point, b: Point, target: Point) -> tuple[Point, float]:
-    """Closest point to ``target`` on either L-route a -> b.
+def _subtree_of(tree: RoutedTree, vid: int) -> set[int]:
+    """Ids of ``vid`` and all its descendants."""
+    seen = {vid}
+    stack = list(tree.node(vid).children)
+    while stack:
+        nid = stack.pop()
+        seen.add(nid)
+        stack.extend(tree.node(nid).children)
+    return seen
 
-    Returns (point, walk distance from a to that point along the route).
+
+def _nearest_on_l(
+    ax: float, ay: float, bx: float, by: float, tx: float, ty: float
+) -> tuple[float, float, float, float]:
+    """Closest point to (tx, ty) on either L-route (ax, ay) -> (bx, by).
+
+    Returns ``(qx, qy, walk, d)``: the point, the walk distance from a
+    to it along the route, and its Manhattan distance to the target.
+    The four legs are tried in the order a -> (ax, by) -> b, then
+    a -> (bx, ay) -> b; a leg replaces the best so far only when it is
+    closer by more than 1e-12, so the first of near-equal legs wins.
+
+    This is the reference's per-leg clamp (``tests/salt/brute_oracle.py``)
+    with the shared work done once, and yields the same floats bit for
+    bit: the varying coordinate of both legs parallel to an axis clamps
+    to the same value, ``cx`` or ``cy``; the fixed coordinate of a leg
+    clamps to the target's own value only when the two compare equal
+    (``min``/``max`` keep their first argument on ties, which matters
+    for signed zeros); and the zero terms the reference adds to a
+    non-negative walk or distance are identities.
     """
-    best_q = a
-    best_d = manhattan(a, target)
-    best_walk = 0.0
-    for corner in (Point(a.x, b.y), Point(b.x, a.y)):
-        for seg_a, seg_b, walk0 in (
-            (a, corner, 0.0),
-            (corner, b, manhattan(a, corner)),
-        ):
-            qx = min(max(target.x, min(seg_a.x, seg_b.x)), max(seg_a.x, seg_b.x))
-            qy = min(max(target.y, min(seg_a.y, seg_b.y)), max(seg_a.y, seg_b.y))
-            q = Point(qx, qy)
-            d = manhattan(q, target)
-            if d < best_d - 1e-12:
-                best_d = d
-                best_q = q
-                best_walk = walk0 + manhattan(seg_a, q)
-    return best_q, best_walk
+    # min/max with Python's tie rule: the first argument wins
+    xlo = bx if bx < ax else ax
+    xhi = bx if bx > ax else ax
+    ylo = by if by < ay else ay
+    yhi = by if by > ay else ay
+    m = xlo if xlo > tx else tx
+    cx = xhi if xhi < m else m
+    m = ylo if ylo > ty else ty
+    cy = yhi if yhi < m else m
+    dx_c = abs(cx - tx)
+    dy_c = abs(cy - ty)
+    qx, qy = ax, ay
+    best_d = abs(ax - tx) + abs(ay - ty)
+    walk = 0.0
+    d = abs(ax - tx) + dy_c                       # leg a -> (ax, by)
+    if d < best_d - 1e-12:
+        qx, qy, best_d = (tx if tx == ax else ax), cy, d
+        walk = abs(ay - cy)
+    d = dx_c + abs(by - ty)                       # leg (ax, by) -> b
+    if d < best_d - 1e-12:
+        qx, qy, best_d = cx, (ty if ty == by else by), d
+        walk = abs(ay - by) + abs(ax - cx)
+    d = dx_c + abs(ay - ty)                       # leg a -> (bx, ay)
+    if d < best_d - 1e-12:
+        qx, qy, best_d = cx, (ty if ty == ay else ay), d
+        walk = abs(ax - cx)
+    d = abs(bx - tx) + dy_c                       # leg (bx, ay) -> b
+    if d < best_d - 1e-12:
+        qx, qy, best_d = (tx if tx == bx else bx), cy, d
+        walk = abs(ax - bx) + abs(ay - cy)
+    return qx, qy, walk, best_d
 
 
 def _split_edge(tree: RoutedTree, child_id: int, q: Point, tol: float) -> int:

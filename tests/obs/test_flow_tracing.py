@@ -70,6 +70,7 @@ def test_flow_metrics_include_grid_counters(fresh_metrics):
     snap = METRICS.as_dict()
     counters = snap["counters"]
     assert counters["salt.grid.queries"] > 0
+    assert counters["salt.median_skips"] > 0
     assert "cts.cluster_wl_um" in snap["histograms"]
 
 

@@ -1,5 +1,6 @@
 """Tests for steinerisation, iterated 1-Steiner and the RSMT front-end."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,13 @@ from repro.rsmt import (
     rsmt,
     rsmt_wirelength,
 )
+from repro.obs.metrics import METRICS
 from repro.rsmt.one_steiner import hanan_points
+from repro.rsmt.steinerize import (
+    _collapse_children_pairs,
+    _collapse_parent_child,
+    _median,
+)
 
 
 def test_hanan_points_cross():
@@ -82,6 +89,63 @@ def test_parent_child_collapse_flags_descendant_edges():
     boxes = set(changes)
     assert (10, 60, 10, 110) in boxes  # edge c -> d, geometry untouched
     assert (10, 30, 10, 60) in boxes   # edge d -> e, geometry untouched
+
+
+def test_median_matches_sorted_middle_bit_for_bit():
+    """``_median`` picks the element ``sorted(...)[1]`` picks, so a tie
+    between signed zeros resolves the same way."""
+    values = (-0.0, 0.0, -1.0, 2.5, 2.5)
+    for a, b, c in itertools.product(values, repeat=3):
+        assert _median(a, b, c).hex() == sorted((a, b, c))[1].hex()
+
+
+def _fork():
+    """A root with two children whose median (10, 0) saves 10 um."""
+    tree = RoutedTree(Point(0, 0))
+    a = tree.add_child(tree.root, Point(10, 5), sink=Sink("a", Point(10, 5)))
+    b = tree.add_child(tree.root, Point(10, -5),
+                       sink=Sink("b", Point(10, -5)))
+    return tree, a, b
+
+
+def test_clean_node_is_skipped_until_discarded():
+    """The clean-set contract: a node in the set is not evaluated, even
+    with a gain waiting, and the gain is found once it is discarded."""
+    tree, a, b = _fork()
+    clean = {tree.root, a, b}
+    skips = METRICS.counter("salt.median_skips")
+
+    assert median_steinerize(tree, clean=clean) == 0.0
+    assert len(tree) == 3
+    assert METRICS.counter("salt.median_skips") == skips + 3
+
+    clean.discard(tree.root)
+    assert median_steinerize(tree, clean=clean) == pytest.approx(10.0)
+    assert len(tree) == 4
+    steiner = tree.node(a).parent
+    assert tree.node(steiner).location == Point(10, 0)
+    # the collapse discarded the root, a and b; the next pass evaluated
+    # them and the new node, none of which gains any more
+    assert clean == {tree.root, a, b, steiner}
+    assert median_steinerize(tree, clean=clean) == 0.0
+
+
+def test_collapses_discard_the_nodes_they_restructure():
+    """Children-pair at u discards u and the two children; parent-child
+    at u discards u's parent, u and the child it moves."""
+    tree, a, b = _fork()
+    clean = set(tree.node_ids())
+    assert _collapse_children_pairs(tree, tree.root, 1e-9, None, clean) > 0
+    assert clean == set()
+
+    tree = RoutedTree(Point(0, 0))
+    p = tree.add_child(tree.root, Point(0, 100))
+    u = tree.add_child(p, Point(20, 120))
+    c = tree.add_child(u, Point(10, 110), sink=Sink("c", Point(10, 110)))
+    d = tree.add_child(c, Point(10, 60), sink=Sink("d", Point(10, 60)))
+    clean = set(tree.node_ids())
+    assert _collapse_parent_child(tree, u, 1e-9, None, clean) > 0
+    assert clean == {tree.root, d}
 
 
 def net_from_points(pts):

@@ -1,5 +1,6 @@
 """Unit tests for the refinement passes (median + edge reattachment)."""
 
+import itertools
 import random
 
 import pytest
@@ -9,22 +10,41 @@ from repro.netlist import ClockNet, RoutedTree, Sink
 from repro.rsmt import rsmt
 from repro.salt.refine import (
     _nearest_on_l,
+    _RefineState,
     edge_reattach_pass,
     refine,
 )
+from tests.salt import brute_oracle
 
 
 def test_nearest_on_l_endpoints_and_corner():
-    a, b = Point(0, 0), Point(10, 6)
-    q, walk = _nearest_on_l(a, b, Point(0, 0))
-    assert q.is_close(a) and walk == 0.0
-    q, walk = _nearest_on_l(a, b, Point(10, 6))
-    assert q.is_close(b)
+    qx, qy, walk, d = _nearest_on_l(0.0, 0.0, 10.0, 6.0, 0.0, 0.0)
+    assert (qx, qy, walk, d) == (0.0, 0.0, 0.0, 0.0)
+    qx, qy, walk, d = _nearest_on_l(0.0, 0.0, 10.0, 6.0, 10.0, 6.0)
+    assert (qx, qy, d) == (10.0, 6.0, 0.0)
     assert walk == pytest.approx(16.0)
     # a point beside one leg projects onto it
-    q, walk = _nearest_on_l(a, b, Point(5, -2))
-    assert q.y in (0.0, 6.0) or q.x in (0.0, 10.0)
-    assert manhattan(q, Point(5, -2)) <= manhattan(a, Point(5, -2))
+    qx, qy, walk, d = _nearest_on_l(0.0, 0.0, 10.0, 6.0, 5.0, -2.0)
+    assert qy in (0.0, 6.0) or qx in (0.0, 10.0)
+    assert d == manhattan(Point(qx, qy), Point(5.0, -2.0))
+    assert d <= manhattan(Point(0.0, 0.0), Point(5.0, -2.0))
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def test_nearest_on_l_matches_oracle_bit_for_bit():
+    """The float form returns the Point oracle's point, walk and
+    distance exactly, signed zeros and 1e-12 near-ties included."""
+    values = (-0.0, 0.0, -1.5, 2.0, 3.0, 3.0 + 4e-13, 7.25)
+    for ax, ay, bx, by, tx, ty in itertools.product(values, repeat=6):
+        q, walk = brute_oracle._nearest_on_l(
+            Point(ax, ay), Point(bx, by), Point(tx, ty))
+        d = manhattan(q, Point(tx, ty))
+        got = _nearest_on_l(ax, ay, bx, by, tx, ty)
+        assert _bits(*got) == _bits(q.x, q.y, walk, d), (
+            (ax, ay, bx, by, tx, ty))
 
 
 def test_reattach_finds_obvious_overlap():
@@ -40,6 +60,34 @@ def test_reattach_finds_obvious_overlap():
     assert tree.wirelength() == pytest.approx(before - gain)
     assert tree.wirelength() == pytest.approx(101.0)  # 100 + 1 stub
     tree.validate()
+
+
+@pytest.mark.parametrize("endpoint", ["parent", "child"])
+def test_reattach_at_an_edge_endpoint_discards_it(endpoint):
+    """A mover attached at an existing endpoint of the target edge
+    changes that node's children, so it leaves the clean set with the
+    mover and the mover's old parent; untouched nodes stay clean."""
+    tree = RoutedTree(Point(0, 0))
+    if endpoint == "parent":
+        # v's nearest point on root -> w is the root itself
+        w = tree.add_child(tree.root, Point(30, 30))
+        v = tree.add_child(w, Point(-3, -4), sink=Sink("v", Point(-3, -4)))
+        target, untouched = tree.root, set()
+    else:
+        # v's nearest point on root -> b is b itself
+        b = tree.add_child(tree.root, Point(0, 10),
+                           sink=Sink("b", Point(0, 10)))
+        w = tree.add_child(tree.root, Point(30, -30))
+        v = tree.add_child(w, Point(1, 12), sink=Sink("v", Point(1, 12)))
+        target, untouched = b, {tree.root}
+    n_nodes = len(tree)
+    state = _RefineState()
+    state.clean.update(tree.node_ids())
+
+    assert edge_reattach_pass(tree, state=state) > 0
+    assert len(tree) == n_nodes  # no split node was needed
+    assert tree.node(v).parent == target
+    assert state.clean == untouched
 
 
 def test_reattach_never_lengthens_paths():
