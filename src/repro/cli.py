@@ -10,9 +10,6 @@ Commands:
   fatal);
 * ``check``   — run the flow-guard constraint checker (skew / cap /
   fanout / span DRC) on a saved tree file;
-* ``bench``   — run the fixed-seed performance trajectory (full flow at
-  several sink counts, per-stage wall times from FlowDiagnostics) and
-  write machine-readable ``BENCH_perf.json``;
 * ``trace``   — summarize a Chrome trace file written by ``--trace``;
 * ``designs`` — list the benchmark catalog;
 * ``gallery`` — render every topology algorithm on one net into SVGs
@@ -35,7 +32,7 @@ Commands:
 
 ``designs`` and ``check`` take ``--json`` for machine-readable output.
 
-``flow`` and ``bench`` accept ``--trace out.json`` to record the run as
+``flow`` accepts ``--trace out.json`` to record the run as
 hierarchical spans plus the metrics registry snapshot in Chrome
 trace-event JSON (open in Perfetto / ``chrome://tracing``, or summarize
 with ``repro trace``); ``-v`` / ``--log-level`` turn on the per-package
@@ -239,28 +236,6 @@ def cmd_check(args) -> int:
         title=f"{args.treefile}: {len(violations)} violation(s)",
     ))
     return 1
-
-
-def cmd_bench(args) -> int:
-    from repro.perf import format_perf_table, run_perf, write_bench_json
-
-    if args.trace:
-        with capture(TRACER):
-            payload = run_perf(sizes=tuple(args.sizes), seed=args.seed,
-                               sa_iterations=args.sa_iterations,
-                               jobs=tuple(args.jobs))
-        trace_path = write_trace(args.trace)
-    else:
-        payload = run_perf(sizes=tuple(args.sizes), seed=args.seed,
-                           sa_iterations=args.sa_iterations,
-                           jobs=tuple(args.jobs))
-        trace_path = None
-    print(format_perf_table(payload))
-    path = write_bench_json(payload, args.out)
-    print(f"trajectory written to {path}")
-    if trace_path is not None:
-        print(f"trace written to {trace_path}")
-    return 0
 
 
 def cmd_trace(args) -> int:
@@ -910,31 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true",
                          help="machine-readable output")
     p_check.set_defaults(func=cmd_check)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the fixed-seed performance trajectory"
-    )
-    p_bench.add_argument(
-        "--sizes", type=_positive_int, nargs="+",
-        default=[200, 500, 1000, 2000],
-        help="sink counts to run (default: 200 500 1000 2000)",
-    )
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--sa-iterations", type=int, default=100)
-    p_bench.add_argument(
-        "--out", default="BENCH_perf.json",
-        help="machine-readable output path (default: BENCH_perf.json)",
-    )
-    p_bench.add_argument(
-        "--trace", metavar="PATH",
-        help="record the bench runs as Chrome trace-event JSON",
-    )
-    p_bench.add_argument(
-        "--jobs", type=_positive_int, nargs="+", default=[1],
-        help="worker-process counts to record, one trajectory point "
-             "per (size, jobs) pair (default: 1)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_trace = sub.add_parser(
         "trace", help="summarize a trace file written by --trace"

@@ -25,12 +25,6 @@ from repro.geometry import Point, rotate45
 from repro.geometry.segment import Rect
 from repro.netlist.sink import Sink
 from repro.netlist.topology import TopologyNode
-from repro.obs.metrics import METRICS
-
-#: Counters that prove the matrix-form agglomeration actually ran; the
-#: hot-path guard test (tests/core/test_batched_hot_path_guard.py)
-#: fails if a traced flow leaves any of them at zero.
-BATCH_COUNTERS = ("dme.batch.merges",)
 
 
 @dataclass(slots=True)
@@ -73,7 +67,6 @@ def _agglomerate_batched(sinks: list[Sink], use_delay: bool) -> TopologyNode:
     if not sinks:
         raise ValueError("cannot build a topology over zero sinks")
     clusters = [_leaf_cluster(s) for s in sinks]
-    METRICS.inc("dme.batch.merges", max(0, len(clusters) - 1))
     while len(clusters) > 1:
         m = len(clusters)
         ulo = np.array([c.region.ulo for c in clusters])

@@ -5,9 +5,8 @@ granularity stage timings cannot: grid-index probes vs. prunes,
 dirty-region skips, SALT reattachment gains, DME merge-region areas,
 min-cost-flow assignment costs, per-cluster skew/wirelength
 contributions.  Instrumented code updates the module singleton
-:data:`METRICS`; harnesses snapshot it per run (``repro bench`` puts the
-snapshot in every ``BENCH_perf.json`` record, ``--trace`` embeds it in
-the trace file).
+:data:`METRICS`; harnesses snapshot it per run (``--trace`` embeds it
+in the trace file).
 
 The registry is always on — instrumentation sites update it at *flush*
 granularity (once per pass / per net / per query batch), never from an

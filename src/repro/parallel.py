@@ -63,6 +63,7 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import signal
 import tempfile
 import threading
 import time
@@ -135,6 +136,9 @@ def resolve_jobs(jobs: int) -> int:
 # (no pickling); under spawn it must survive a pickle round-trip.
 _WORKER: dict = {}
 
+#: Seconds between a worker's checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
 
 def init_worker(trace_enabled: bool, context=None) -> None:
     """Pool initializer of every fan-out: cluster routing, sweep points
@@ -143,6 +147,7 @@ def init_worker(trace_enabled: bool, context=None) -> None:
     ``context`` is the per-pool state tasks read back from ``_WORKER``
     (the engine, for cluster routing).
     """
+    _obey_signals_and_parent()
     _WORKER["trace"] = trace_enabled
     _WORKER["context"] = context
     # a forked worker inherits the parent's collected spans/metrics;
@@ -153,6 +158,34 @@ def init_worker(trace_enabled: bool, context=None) -> None:
     # ordered update log: lets the parent replay this worker's metric
     # updates bit-exactly in serial task order (see metrics.merge_raw)
     METRICS.begin_event_log()
+
+
+def _obey_signals_and_parent() -> None:
+    """Give a worker a fresh interpreter's signal handling, and end it
+    when its parent is gone.
+
+    A worker forked under ``repro serve`` would otherwise keep the
+    server's asyncio handlers, which only write the signal to the event
+    loop's wakeup fd, shared with the server: a ``kill`` would leave the
+    worker running and wake the server's loop instead.  A worker whose
+    parent dies by SIGKILL would block on the task queue for good, as
+    the workers' own inherited copies keep the queue's pipe open, so a
+    daemon thread polls the parent pid.  ``PR_SET_PDEATHSIG`` would not do: it fires
+    when the forking *thread* exits, and the server forks from
+    ``asyncio.to_thread`` threads.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.set_wakeup_fd(-1)
+    parent = multiprocessing.parent_process().pid
+
+    def exit_with_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)     # no one is left to take this worker's results
+
+    threading.Thread(target=exit_with_parent, name="parent-watch",
+                     daemon=True).start()
 
 
 def run_captured(fn, task):

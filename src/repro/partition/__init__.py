@@ -5,8 +5,6 @@
   spatial blocks of at most 1,024 points;
 * :mod:`mcf` — capacitated balanced assignment, the min-cost-flow step,
   solved exactly by rectangular assignment (scipy);
-* :mod:`nearest` — exact kd-tree nearest-center candidates for the
-  Lloyd labelling;
 * :mod:`clustering` — the latency/capacitance-adaptive clustering cost
   Cost^k = p * var(Cap^k) + q * var(T^k) and a silhouette score;
 * :mod:`annealing` — the simulated-annealing refinement with convex-hull

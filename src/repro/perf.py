@@ -1,52 +1,19 @@
-"""The performance-trajectory harness behind ``repro bench``.
+"""Fixed-seed uniform sink placements.
 
-Runs the full hierarchical flow on fixed-seed uniform placements of
-increasing size, pulls per-stage wall times out of the
-:class:`~repro.flowguard.diagnostics.FlowDiagnostics` that every run
-already carries, and serialises the result as machine-readable JSON
-(``BENCH_perf.json`` by convention) — the trajectory file future
-changes regress against.  Quality metrics (wirelength, latency, skew,
-buffer count) ride along so a perf regression that silently trades
-quality is caught by the same file.
-
-The design generator is deliberately tiny and deterministic: the same
-``(n, seed)`` always yields the same placement, so two checkouts of the
-code can be compared number-for-number.
+:func:`make_uniform_sinks` is the placement family of the quality pins
+(``BENCH_perf.json``, checked by ``tests/test_flow_pins.py``), of the
+uniform workload of the repo benchmark (``bench/``) and of the scaling
+benches.  The generator is deliberately tiny and deterministic: the
+same ``(n, seed)`` always yields the same placement, so two checkouts
+of the code can be compared number for number.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import random
-from pathlib import Path
 
-from repro.cts import FlowConfig, HierarchicalCTS
-from repro.cts.evaluation import evaluate_result
 from repro.geometry import Point
-from repro.io import format_table
 from repro.netlist import Sink
-from repro.obs.clock import now
-from repro.obs.logcfg import get_logger
-from repro.obs.metrics import METRICS
-from repro.tech import Technology
-
-_LOG = get_logger("perf")
-
-#: Sizes of the standard trajectory (matches benchmarks/bench_scaling.py).
-DEFAULT_SIZES = (200, 500, 1000, 2000)
-
-#: Bumped whenever the JSON layout changes.
-#: v2: ``flow_events`` became the per-kind breakdown dict and every
-#: record gained a ``metrics`` sub-dict (the obs registry snapshot).
-#: v3: every record gained a ``jobs`` column (worker-process count for
-#: per-cluster routing); the trajectory may hold serial and parallel
-#: points for the same size, whose quality columns must be identical.
-SCHEMA_VERSION = 3
-
-#: Worker counts of the standard trajectory: the serial baseline plus a
-#: 4-way parallel point with (required) identical quality columns.
-DEFAULT_JOBS = (1, 4)
 
 
 def make_uniform_sinks(
@@ -65,116 +32,3 @@ def make_uniform_sinks(
         for i in range(n)
     ]
     return sinks, side
-
-
-def run_perf(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    seed: int = 0,
-    sa_iterations: int = 100,
-    jobs: tuple[int, ...] = (1,),
-) -> dict:
-    """Run the flow at every (size, jobs) point; returns the payload.
-
-    ``jobs`` values beyond 1 exercise the :mod:`repro.parallel`
-    process pool; their quality columns must be byte-identical to the
-    serial point of the same size (the equivalence contract CI pins).
-    """
-    tech = Technology()
-    records = []
-    for n in sizes:
-        for j in jobs:
-            sinks, side = make_uniform_sinks(n, seed)
-            source = Point(side / 2, side / 2)
-            engine = HierarchicalCTS(
-                tech=tech,
-                config=FlowConfig(sa_iterations=sa_iterations, jobs=j),
-            )
-            METRICS.reset()  # per-record snapshot: this run's work only
-            t0 = now()
-            result = engine.run(sinks, source)
-            wall_s = now() - t0
-            report = evaluate_result(result, tech)
-            diag = result.diagnostics
-            records.append({
-                "sinks": n,
-                "jobs": j,
-                "runtime_s": round(wall_s, 4),
-                "stage_time_s": {
-                    stage: round(t, 4)
-                    for stage, t in sorted(diag.stage_time_s.items())
-                } if diag is not None else {},
-                "wirelength_um": report.clock_wl_um,
-                "latency_ps": report.latency_ps,
-                "skew_ps": report.skew_ps,
-                "num_buffers": report.num_buffers,
-                "flow_events": diag.event_breakdown() if diag is not None
-                else {"total": 0},
-                "metrics": METRICS.as_dict(),
-            })
-            _LOG.info("perf: %d sinks, %d job(s) in %.3fs (%d flow events)",
-                      n, j, wall_s, records[-1]["flow_events"]["total"])
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "bench": "perf",
-        "seed": seed,
-        "sa_iterations": sa_iterations,
-        "python": platform.python_version(),
-        "records": records,
-    }
-
-
-def write_bench_json(payload: dict, path: str | Path) -> Path:
-    """Write a bench payload as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def merge_bench_records(payload: dict, path: str | Path) -> dict:
-    """Merge ``payload`` with the bench file at ``path``, preserving
-    records the new run did not re-measure.
-
-    Records in the existing file whose (sinks, jobs) point is absent
-    from the new payload — the at-scale 10k/100k entries that only
-    dedicated runs refresh — are carried over; re-measured points are
-    replaced.  Existing records are dropped wholesale on a schema
-    mismatch (stale shape must not survive a version bump).  Returns a
-    new payload with the merged record list sorted by (sinks, jobs).
-    """
-    path = Path(path)
-    records = list(payload["records"])
-    seen = {(r["sinks"], r.get("jobs", 1)) for r in records}
-    if path.exists():
-        try:
-            old = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            old = None
-        if old and old.get("schema_version") == payload.get("schema_version"):
-            records.extend(
-                r for r in old.get("records", [])
-                if (r["sinks"], r.get("jobs", 1)) not in seen
-            )
-    records.sort(key=lambda r: (r["sinks"], r.get("jobs", 1)))
-    merged = dict(payload)
-    merged["records"] = records
-    return merged
-
-
-def format_perf_table(payload: dict) -> str:
-    """Human-readable rendering of a ``run_perf`` payload."""
-    stages = sorted({
-        stage for rec in payload["records"] for stage in rec["stage_time_s"]
-    })
-    rows = [
-        [rec["sinks"], rec.get("jobs", 1), rec["runtime_s"]]
-        + [rec["stage_time_s"].get(stage, 0.0) for stage in stages]
-        + [rec["wirelength_um"], rec["skew_ps"], rec["num_buffers"]]
-        for rec in payload["records"]
-    ]
-    return format_table(
-        ["#FFs", "jobs", "total(s)"] + [f"{s}(s)" for s in stages]
-        + ["WL(um)", "skew(ps)", "#buf"],
-        rows,
-        title=f"perf trajectory (seed {payload['seed']})",
-        precision=2,
-    )

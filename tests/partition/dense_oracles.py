@@ -1,33 +1,16 @@
-"""Dense n x k reference kernels for the partition stage.
+"""Reference kernels for the partition stage.
 
-These are the straightforward full-matrix implementations the kd-tree
-kernels in ``repro.partition`` replaced.  They are kept verbatim as
-test oracles: the production kernels must reproduce their outputs byte
-for byte, ties included.  ``spatial_blocks`` restates the block rule of
-``balanced_kmeans`` with plain Python sorts and integer arithmetic.
+``group_medians`` and ``kmeans_pp_init`` are the straightforward
+implementations the vectorised kernels in ``repro.partition.kmeans``
+replaced, kept verbatim as test oracles: the production kernels must
+reproduce their outputs byte for byte, ties included.
+``spatial_blocks`` restates the block rule of ``balanced_kmeans`` with
+plain Python sorts and integer arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Upper bound on the elements of any point x center distance block.
-_CHUNK_ELEMS = 4_000_000
-
-
-def nearest_center_labels(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Row-chunked argmin over Manhattan distances to ``centers``."""
-    n, k = len(coords), len(centers)
-    labels = np.empty(n, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        d = (
-            np.abs(coords[lo:hi, None, 0] - centers[None, :, 0])
-            + np.abs(coords[lo:hi, None, 1] - centers[None, :, 1])
-        )
-        labels[lo:hi] = np.argmin(d, axis=1)
-    return labels
 
 
 def group_medians(

@@ -1,5 +1,5 @@
-"""Differential tests: the kd-tree partition kernels against the dense
-n x k oracles in ``dense_oracles``.
+"""Differential tests: the vectorised partition kernels against the
+reference oracles in ``dense_oracles``.
 
 Every property demands byte equality, not approximate agreement, and
 the inputs are built to be tie-heavy: integer-snapped lattices put many
@@ -52,14 +52,6 @@ def _bytes_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(placements())
-@settings(max_examples=80, deadline=None)
-def test_labels_match_dense(case):
-    pts, ctr = case
-    assert _bytes_equal(kmeans_mod._nearest_center_labels(pts, ctr),
-                        oracle.nearest_center_labels(pts, ctr))
-
-
 @given(placements(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_group_medians_match_dense(case, data):
@@ -95,8 +87,6 @@ def test_balanced_kmeans_matches_dense_pipeline(monkeypatch):
     assert [len(b) for b in blocks] == [744, 748]
     assert METRICS.counter("partition.assign_lsa") == before + 2
 
-    monkeypatch.setattr(kmeans_mod, "_nearest_center_labels",
-                        oracle.nearest_center_labels)
     monkeypatch.setattr(kmeans_mod, "_group_medians", oracle.group_medians)
     monkeypatch.setattr(kmeans_mod, "_kmeans_pp_init", oracle.kmeans_pp_init)
     centers, labels = [], [None] * len(points)

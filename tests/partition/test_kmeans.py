@@ -1,12 +1,18 @@
 """Tests for (balanced) K-means."""
 
+import importlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point
 from repro.partition import balanced_kmeans, kmeans, silhouette_score
+
+# ``repro.partition`` re-exports the ``kmeans`` function under the
+# module's name, so bind the module explicitly.
+kmeans_mod = importlib.import_module("repro.partition.kmeans")
 
 
 def two_blobs(rng, n_per=20, sep=100.0):
@@ -44,6 +50,23 @@ def test_kmeans_k_clamped_to_n():
     assert len(centers) == 2
 
 
+def test_nearest_center_labels_take_lowest_index_in_every_chunk(monkeypatch):
+    # a 4 x 4 lattice makes equal Manhattan distances the norm
+    rng = np.random.default_rng(3)
+    coords = rng.integers(0, 4, size=(51, 2)).astype(float)
+    centers = rng.integers(0, 4, size=(7, 2)).astype(float)
+    expected = [
+        min(range(7), key=lambda j: (abs(x - centers[j, 0])
+                                     + abs(y - centers[j, 1]), j))
+        for x, y in coords.tolist()
+    ]
+    assert kmeans_mod._nearest_center_labels(coords, centers).tolist() == expected
+    # 2 rows a chunk with a 1-row tail; then 1 row, below one row's size
+    for chunk in (20, 5):
+        monkeypatch.setattr(kmeans_mod, "_CHUNK_ELEMS", chunk)
+        assert kmeans_mod._nearest_center_labels(coords, centers).tolist() == expected
+
+
 def test_balanced_kmeans_respects_max_size():
     rng = random.Random(5)
     pts = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(97)]
@@ -56,8 +79,6 @@ def test_balanced_kmeans_respects_max_size():
 def test_balanced_kmeans_validation():
     with pytest.raises(ValueError):
         balanced_kmeans([Point(0, 0)], max_size=0)
-    with pytest.raises(ValueError):
-        balanced_kmeans([Point(0, 0)], max_size=5, slack=0.0)
 
 
 def test_silhouette_good_vs_bad():

@@ -54,33 +54,9 @@ def test_route_save_outputs(netfile, tmp_path, capsys):
     assert svg_path.read_text().startswith("<svg")
 
 
-def test_bench_writes_trajectory(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_perf.json"
-    assert main([
-        "bench", "--sizes", "40", "60", "--out", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "perf trajectory" in out
-    payload = json.loads(out_path.read_text())
-    assert payload["schema_version"] == 3
-    assert [r["sinks"] for r in payload["records"]] == [40, 60]
-    # v3: every record carries the worker count it ran with
-    assert [r["jobs"] for r in payload["records"]] == [1, 1]
-    for rec in payload["records"]:
-        assert rec["runtime_s"] > 0
-        assert "route" in rec["stage_time_s"]
-        assert rec["num_buffers"] >= 1
-        # v2: flow_events is a per-kind breakdown, not an opaque count
-        assert rec["flow_events"]["total"] == sum(
-            v for k, v in rec["flow_events"].items() if k != "total"
-        )
-        # v2: the obs metrics snapshot rides along with every record
-        assert rec["metrics"]["counters"]["salt.grid.queries"] > 0
-
-
-def test_bench_rejects_bad_sizes(capsys):
+def test_serve_rejects_bad_queue_depth(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--sizes", "0"])
+        main(["serve", "--queue-depth", "0"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "error" in err and "positive" in err
@@ -125,16 +101,6 @@ def test_flow_trace_roundtrip(tmp_path, capsys):
     assert main(["trace", str(trace_path)]) == 0
     out = capsys.readouterr().out
     assert "flow" in out and "metrics" in out
-
-
-def test_bench_trace(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    trace_path = tmp_path / "bench.trace.json"
-    assert main(["bench", "--sizes", "40", "--out", str(out_path),
-                 "--trace", str(trace_path)]) == 0
-    payload = json.loads(trace_path.read_text())
-    names = {ev["name"] for ev in payload["traceEvents"] if ev["ph"] == "X"}
-    assert "flow" in names
 
 
 def test_trace_bad_file_exits_2(tmp_path, capsys):
