@@ -133,15 +133,8 @@ def cmd_route(args) -> int:
 
 def _run_flow(args, tech, design):
     if args.flow == "ours":
-        from repro.cts import FlowConfig
-
-        config = FlowConfig(
-            jobs=getattr(args, "jobs", 0),
-            task_timeout=getattr(args, "task_timeout", 0.0),
-            task_retries=getattr(args, "task_retries", 1),
-            pool_rebuilds=getattr(args, "pool_rebuilds", 2),
-        )
-        engine = HierarchicalCTS(tech=tech, config=config,
+        engine = HierarchicalCTS(tech=tech, jobs=args.jobs,
+                                 policy=_fabric_policy(args),
                                  fabric_chaos=_fabric_chaos(args))
         return engine.run(design.sinks, design.source)
     if args.flow == "commercial":
@@ -294,6 +287,16 @@ def _rate(text: str) -> float:
     return value
 
 
+def _fabric_policy(args):
+    """The run's FabricPolicy from the --task-timeout, --task-retries
+    and --pool-rebuilds flags."""
+    from repro.resilience import FabricPolicy
+
+    return FabricPolicy(task_timeout=args.task_timeout,
+                        task_retries=args.task_retries,
+                        pool_rebuilds=args.pool_rebuilds)
+
+
 def _fabric_chaos(args):
     """The run's FabricChaos (or None) from --fabric-fault-* flags."""
     rate = getattr(args, "fabric_fault_rate", 0.0)
@@ -396,11 +399,7 @@ def cmd_sweep(args) -> int:
     report = run_sweep(
         spec, store, jobs=args.jobs,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
-        pool_rebuilds=args.pool_rebuilds,
-        fabric_fault_rate=args.fabric_fault_rate,
-        fabric_fault_seed=args.fabric_fault_seed,
+        policy=_fabric_policy(args), chaos=_fabric_chaos(args),
     )
     if args.json:
         print(json.dumps({
@@ -451,15 +450,9 @@ def cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.resilience import FabricPolicy
     from repro.serve import CTSServer, CTSService
     from repro.sweep import SweepStore
 
-    policy = FabricPolicy(
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
-        pool_rebuilds=args.pool_rebuilds,
-    )
     predictor = None
     if args.model:
         from repro.predict import load_model
@@ -470,7 +463,7 @@ def cmd_serve(args) -> int:
         jobs=args.jobs,
         queue_depth=args.queue_depth,
         default_deadline_s=args.default_deadline,
-        policy=policy,
+        policy=_fabric_policy(args),
         chaos=_fabric_chaos(args),
         predictor=predictor,
     )

@@ -56,7 +56,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.netlist.sink import Sink
 from repro.netlist.tree import RoutedTree
-from repro.parallel import ClusterTask, ParallelRouter, resolve_jobs
+from repro.parallel import WorkPool, resolve_jobs, worker_context
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.partition.annealing import SAConfig, anneal_partition, total_cost
 from repro.partition.clustering import Cluster, cluster_cap
@@ -70,8 +70,8 @@ _LOG = get_logger("cts")
 #: Bumped when the meaning of a :class:`FlowConfig` field changes in a
 #: way that invalidates previously computed digests (a renamed knob, a
 #: changed default semantic).  Part of every sweep-store cache key.
-#: v2: execution-fabric fields left the canonical form (see
-#: :data:`_EXECUTION_FIELDS`).
+#: v2: execution-fabric fields left the canonical form (they have since
+#: left the config for :class:`HierarchicalCTS` arguments).
 CONFIG_SCHEMA_VERSION = 2
 
 #: Fields that hold callables: pluggable, but not serialisable — a
@@ -79,18 +79,11 @@ CONFIG_SCHEMA_VERSION = 2
 #: canonical digest.
 _CALLABLE_FIELDS = ("router", "partitioner")
 
-#: Execution-fabric fields: *where/how* the flow runs, never *what* it
-#: computes.  By the determinism contract (docs/PARALLELISM.md) results
-#: are byte-identical for any value of these, so they are excluded from
-#: the canonical form and the digest — two runs differing only in
-#: fabric knobs share one cache entry.
-_EXECUTION_FIELDS = ("jobs", "task_timeout", "task_retries",
-                     "pool_rebuilds")
-
-
 @dataclass(slots=True)
 class FlowConfig:
-    """Knobs of the hierarchical flow."""
+    """Knobs of the hierarchical flow: what it computes, never where it
+    runs (worker count and resilience budgets are
+    :class:`HierarchicalCTS` arguments)."""
 
     topology: str = "greedy_dist"     # CBS Step 1 merge scheme
     eps: float = 0.3                  # CBS Step 3 relaxation
@@ -106,18 +99,6 @@ class FlowConfig:
     partitioner: Callable | None = None
     # constraint-repair passes per net before violations become residual
     repair_budget: int = 2
-    # worker processes for per-cluster routing: 0 or negative = auto
-    # (one per usable CPU; each level uses the pool only where the
-    # process hop pays), 1 = the serial loop (byte-identical to the
-    # pre-parallel flow), N > 1 = a pool of N on every level.  See
-    # docs/PARALLELISM.md.
-    jobs: int = 0
-    # execution-fabric resilience budgets (docs/PARALLELISM.md,
-    # "Failure model"); like ``jobs`` they cannot change results and
-    # stay out of the canonical form / digest
-    task_timeout: float = 0.0     # per-task wall-clock budget, s (0 = off)
-    task_retries: int = 1         # transient-failure re-submissions
-    pool_rebuilds: int = 2        # broken-pool resurrections per run
 
     # ------------------------------------------------------------------
     # Canonical serialisation (the sweep store's cache-key substrate)
@@ -130,9 +111,6 @@ class FlowConfig:
         configs that compare equal serialise to identical dicts.  A
         config carrying a pluggable callable (``router`` /
         ``partitioner``) is not serialisable and raises ``ValueError``.
-        Execution-fabric fields (:data:`_EXECUTION_FIELDS`) are
-        deliberately absent: they cannot affect results, so they must
-        not affect cache keys.
         """
         for name in _CALLABLE_FIELDS:
             if getattr(self, name) is not None:
@@ -142,7 +120,7 @@ class FlowConfig:
                 )
         out: dict = {}
         for f in fields(self):
-            if f.name in _CALLABLE_FIELDS or f.name in _EXECUTION_FIELDS:
+            if f.name in _CALLABLE_FIELDS:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, bool):
@@ -224,8 +202,37 @@ class CTSResult:
     health: RunHealth | None = None  # what the execution fabric absorbed
 
 
+@dataclass(frozen=True, slots=True)
+class ClusterTask:
+    """One cluster net to route, as a picklable, self-contained payload."""
+
+    name: str                  # net name, e.g. "L0_c3"
+    level: int                 # hierarchy level
+    sinks: tuple[Sink, ...]    # the cluster's sinks
+    center: Point              # the partitioner's center for the cluster
+
+
+@dataclass(slots=True)
+class ClusterOutcome:
+    """Everything routing one task produced."""
+
+    name: str
+    driver: Sink               # next-level sink (the placed driver)
+    tree: RoutedTree           # routed + buffered + repaired net tree
+    buffers: int               # buffers added on this net (incl. driver)
+    diagnostics: FlowDiagnostics  # task-local events + stage times
+
+
 class HierarchicalCTS:
-    """The paper's hierarchical CTS engine."""
+    """The paper's hierarchical CTS engine.
+
+    ``jobs`` sets the worker processes for per-cluster routing: 0 or
+    negative is auto (one per usable CPU; each level uses the pool only
+    where the process hop pays), 1 the serial loop, and N > 1 a pool of
+    N on every level.  ``policy`` budgets the pool's resilience ladder
+    and ``fabric_chaos`` injects seeded faults into it.  None of the
+    three can change results (docs/PARALLELISM.md).
+    """
 
     def __init__(
         self,
@@ -234,6 +241,8 @@ class HierarchicalCTS:
         constraints: Constraints = TABLE5,
         config: FlowConfig | None = None,
         analyzer: ElmoreAnalyzer | None = None,
+        jobs: int = 0,
+        policy: FabricPolicy | None = None,
         fabric_chaos: FabricChaos | None = None,
     ):
         self._tech = tech or Technology()
@@ -244,8 +253,8 @@ class HierarchicalCTS:
         self._analyzer = analyzer or ElmoreAnalyzer(
             self._tech, self._config.source_slew
         )
-        # seeded fault injection for the execution fabric (chaos runs);
-        # never touches results, only where tasks end up executing
+        self._jobs = jobs
+        self._policy = policy
         self._fabric_chaos = fabric_chaos
 
     # ------------------------------------------------------------------
@@ -268,17 +277,14 @@ class HierarchicalCTS:
     ) -> CTSResult:
         start = now()
         cons = self._constraints
-        cfg = self._config
         diag = diagnostics if diagnostics is not None else FlowDiagnostics()
-        chain = self.build_chain(diag)
         current = list(sinks)
         levels: list[LevelStats] = []
         subtrees: dict[str, RoutedTree] = {}  # driver sink name -> its net tree
         level = 0
         workers = self._workers()
-        pool = ParallelRouter(
-            self, workers,
-            policy=FabricPolicy.from_flow_config(cfg),
+        pool = WorkPool(
+            workers, context=self, policy=self._policy,
             chaos=self._fabric_chaos,
         ) if workers > 1 else None
 
@@ -293,7 +299,7 @@ class HierarchicalCTS:
                 with TRACER.span("level", level=level, sinks=len(current)):
                     clusters, sa_before, sa_after, next_sinks, \
                         buffers_added = self._run_level(
-                            current, level, chain, diag, subtrees, pool
+                            current, level, diag, subtrees, pool
                         )
                 levels.append(LevelStats(
                     level=level,
@@ -325,7 +331,7 @@ class HierarchicalCTS:
         mark = len(diag.events)
         with TRACER.span("level", level=-1, sinks=len(current)):
             top_tree, top_buffers = self._route_top(
-                current, source, chain, diag
+                current, source, self.build_chain(diag), diag
             )
         METRICS.inc("cts.top_buffers", top_buffers)
         full = self._assemble(top_tree, subtrees, sinks, diag)
@@ -348,19 +354,18 @@ class HierarchicalCTS:
         analyzer (a fault injector, a call counter) would diverge from
         the serial run, so auto stays serial.
         """
-        cfg = self._config
-        if cfg.jobs < 1 and (self._custom_analyzer or any(
-                getattr(cfg, name) is not None
+        if self._jobs < 1 and (self._custom_analyzer or any(
+                getattr(self._config, name) is not None
                 for name in _CALLABLE_FIELDS)):
             return 1
-        return resolve_jobs(cfg.jobs)
+        return resolve_jobs(self._jobs)
 
     def build_chain(self, diagnostics: FlowDiagnostics) -> RouterFallbackChain:
         """The run's configured fallback chain, bound to ``diagnostics``.
 
-        Also the hook :mod:`repro.parallel` workers use to rebuild an
-        identical chain around a task-local diagnostics object, so a
-        cluster routes through exactly the same ladder in either mode.
+        Every cluster net routes through a chain built here around its
+        own diagnostics (see :meth:`_route_task`), so a cluster routes
+        through exactly the same ladder in a worker or in the parent.
         """
         return RouterFallbackChain(
             self._constraints.skew_bound,
@@ -374,15 +379,15 @@ class HierarchicalCTS:
         self,
         current: list[Sink],
         level: int,
-        chain: RouterFallbackChain,
         diag: FlowDiagnostics,
         subtrees: dict[str, RoutedTree],
-        pool: "ParallelRouter | None" = None,
+        pool: WorkPool | None = None,
     ) -> tuple[list[Cluster], float, float, list[Sink], int]:
         """One bottom-up level: partition, then route/buffer each cluster.
 
         With a ``pool``, the clusters route in its workers; under auto
         (``jobs < 1``) only when :func:`pool_pays` for this level.
+        Either way the outcomes merge in cluster order.
         """
         cons = self._constraints
         with diag.timed("partition", level=level):
@@ -404,11 +409,8 @@ class HierarchicalCTS:
                 # used so LevelStats never quotes a dropped state
                 forced_cost = total_cost(clusters, self._sa_config(level))
                 sa_before = sa_after = forced_cost
-        next_sinks: list[Sink] = []
-        buffers_added = 0
         tasks = [
             ClusterTask(
-                index=j,
                 name=f"L{level}_c{j}",
                 level=level,
                 sinks=tuple(cluster.sinks),
@@ -418,49 +420,57 @@ class HierarchicalCTS:
             if cluster.sinks
         ]
         pooled = pool is not None and len(tasks) > 1 and (
-            self._config.jobs >= 1
+            self._jobs >= 1
             or pool_pays(tasks, pool.jobs, cons.max_fanout)
         )
-        outcomes = pool.route_clusters(tasks) if pooled \
-            else [None] * len(tasks)
-        reasons = pool.last_failure_reasons if pooled else {}
-        for pos, (task, outcome) in enumerate(zip(tasks, outcomes)):
-            if outcome is None:
-                if pooled:
-                    code, why = reasons.get(pos, ("fault", ""))
-                    if code == "timeout":
-                        diag.record(
-                            "route", "timeout", level=level, net=task.name,
-                            detail=why or "task deadline expired; "
-                                          "routed serially in parent",
-                        )
-                    else:
-                        detail = ("parallel worker failed; "
-                                  "routed serially in parent")
-                        if why:
-                            detail = f"{detail} ({why})"
-                        diag.record(
-                            "route", "fault", level=level, net=task.name,
-                            detail=detail,
-                        )
-                cluster = Cluster(list(task.sinks), task.center)
-                with TRACER.span("cluster", net=task.name,
-                                 sinks=cluster.size):
-                    driver_sink, tree, nbuf = self._route_cluster(
-                        task.name, cluster, level, chain, diag
-                    )
-            else:
-                driver_sink, tree, nbuf = \
-                    outcome.driver, outcome.tree, outcome.buffers
-                diag.merge(outcome.diagnostics)
-                METRICS.merge_raw(outcome.metrics)
-                if TRACER.enabled and outcome.spans:
-                    TRACER.adopt(outcome.spans, tid=outcome.worker,
-                                 worker=outcome.worker)
-            subtrees[task.name] = tree
-            next_sinks.append(driver_sink)
-            buffers_added += nbuf
+        if pooled:
+            outcomes = pool.map(
+                _route_in_worker, tasks,
+                describe=lambda t: f"net {t.name}",
+                fallback=self._route_degraded,
+            )
+        else:
+            outcomes = [self._route_task(task) for task in tasks]
+        next_sinks: list[Sink] = []
+        buffers_added = 0
+        for outcome in outcomes:
+            diag.merge(outcome.diagnostics)
+            subtrees[outcome.name] = outcome.tree
+            next_sinks.append(outcome.driver)
+            buffers_added += outcome.buffers
         return clusters, sa_before, sa_after, next_sinks, buffers_added
+
+    def _route_task(
+        self, task: ClusterTask, diag: FlowDiagnostics | None = None
+    ) -> ClusterOutcome:
+        """Route one cluster net against task-local diagnostics: the
+        same code whether a pool worker or the parent runs it."""
+        diag = diag if diag is not None else FlowDiagnostics()
+        chain = self.build_chain(diag)
+        cluster = Cluster(list(task.sinks), task.center)
+        with TRACER.span("cluster", net=task.name, sinks=cluster.size):
+            driver, tree, nbuf = self._route_cluster(
+                task.name, cluster, task.level, chain, diag
+            )
+        return ClusterOutcome(name=task.name, driver=driver, tree=tree,
+                              buffers=nbuf, diagnostics=diag)
+
+    def _route_degraded(
+        self, task: ClusterTask, code: str, detail: str
+    ) -> ClusterOutcome:
+        """Route a task the pool gave back, here and in its slot, with
+        the reason recorded ahead of its routing events."""
+        diag = FlowDiagnostics()
+        if code == "timeout":
+            diag.record("route", "timeout", level=task.level, net=task.name,
+                        detail=detail)
+        else:
+            diag.record(
+                "route", "fault", level=task.level, net=task.name,
+                detail=(f"parallel worker failed; routed serially in "
+                        f"parent ({detail})"),
+            )
+        return self._route_task(task, diag)
 
     # ------------------------------------------------------------------
     # Stage 1: partition
@@ -745,6 +755,12 @@ def _log_degradations(diag: FlowDiagnostics, since: int, where: str) -> None:
     line = diag.degradation_line(since)
     if line is not None:
         _LOG.warning("%s: %s", where, line)
+
+
+def _route_in_worker(task: ClusterTask) -> ClusterOutcome:
+    """Route one cluster net in a pool worker, on the engine the pool
+    was built with."""
+    return worker_context()._route_task(task)
 
 
 def pool_pays(tasks: list[ClusterTask], workers: int,

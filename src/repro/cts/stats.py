@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.netlist.tree import RoutedTree
 from repro.tech.technology import Technology
+from repro.timing.elmore import downstream_stage_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +79,10 @@ def tree_statistics(tree: RoutedTree, tech: Technology) -> TreeStatistics:
         max_depth = max(max_depth, depth[nid])
         max_buf_levels = max(max_buf_levels, buffer_levels[nid])
 
-    stage_loads = _stage_loads(tree, tech)
+    cap = downstream_stage_cap(tree, tech)
+    stage_loads = {tree.root: cap[tree.root]}
+    for nid in tree.buffer_node_ids():
+        stage_loads[nid] = cap[nid]
     return TreeStatistics(
         num_nodes=len(tree),
         num_sinks=num_sinks,
@@ -91,23 +95,3 @@ def tree_statistics(tree: RoutedTree, tech: Technology) -> TreeStatistics:
         stage_loads=stage_loads,
         max_fanout=max_fanout,
     )
-
-
-def _stage_loads(tree: RoutedTree, tech: Technology) -> dict[int, float]:
-    """Capacitance driven by each stage root (root + every buffer)."""
-    cap: dict[int, float] = {}
-    for nid in tree.postorder():
-        node = tree.node(nid)
-        total = node.sink.cap if node.sink is not None else 0.0
-        for cid in node.children:
-            child = tree.node(cid)
-            total += tech.wire_cap(tree.edge_length(cid))
-            if child.is_buffer:
-                total += child.buffer.input_cap
-            else:
-                total += cap[cid]
-        cap[nid] = total
-    loads = {tree.root: cap[tree.root]}
-    for nid in tree.buffer_node_ids():
-        loads[nid] = cap[nid]
-    return loads

@@ -74,15 +74,6 @@ class MergeSpec:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    @property
-    def e_left(self) -> float:
-        """Minimum committed arm to the left child."""
-        return self.win_left[0]
-
-    @property
-    def e_right(self) -> float:
-        return self.win_right[0]
-
 
 def merge_specs(
     a: MergeSpec,

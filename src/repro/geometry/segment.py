@@ -141,10 +141,6 @@ class Rect:
             min(max(p.y, self.vlo), self.vhi),
         )
 
-    def nearest_point_to_rect(self, other: "Rect") -> Point:
-        """A point of ``self`` closest (L-inf) to ``other``."""
-        return self.nearest_point(other.nearest_point(self.center))
-
     # ------------------------------------------------------------------
     # Conversions back to the original plane
     # ------------------------------------------------------------------

@@ -25,6 +25,10 @@ ROOT_LOGGER_NAME = "repro"
 
 _LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
+# a library keeps quiet without a configured handler: this stops
+# records reaching stderr through ``logging.lastResort``
+logging.getLogger(ROOT_LOGGER_NAME).addHandler(logging.NullHandler())
+
 
 def get_logger(name: str) -> logging.Logger:
     """Named logger under the ``repro`` hierarchy (``get_logger("salt")``

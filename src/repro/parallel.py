@@ -1,36 +1,36 @@
-"""Process-pool parallel routing of cluster nets.
+"""The process pools behind every ``--jobs`` fan-out.
 
-The hierarchical level loop (paper Fig. 3) is embarrassingly parallel
-at its hottest point: each cluster net of a level routes, buffers,
-constraint-checks and analyzes independently of its siblings — the only
-cross-cluster coupling is the partition that produced the clusters
-(computed before the fan-out) and the driver sinks fed to the *next*
-level (collected after it).  :class:`ParallelRouter` exploits exactly
-that window: it fans :meth:`repro.cts.framework.HierarchicalCTS.
-_route_cluster` out over a process pool and hands the results back in
-cluster-index order.
+Four consumers hand independent, picklable tasks to a
+:class:`WorkPool`: the hierarchical level loop (one cluster net per
+task, paper Fig. 3), :func:`repro.sweep.run_sweep` (one sweep point),
+:mod:`repro.serve` (one served miss) and :func:`repro.predict.
+extract_dataset` (one design's features).  This module alone decides
+how a task runs in a worker and how its observability comes home; a
+consumer supplies only a module-level function, its tasks, and what to
+do with a task the pool gives back.
 
-Determinism contract (the property ``tests/cts/test_parallel.py``
-pins):
+Worker start-up is the same for every pool (:func:`_boot_worker`): the
+worker closes the sockets it inherited, restores a fresh interpreter's
+signal handling, starts watching for its parent's death, installs the
+pool's ``context`` (read back with :func:`worker_context`), and resets
+the ``METRICS``/``TRACER`` singletons it inherited, so nothing the
+parent had collected leaks into (or double-counts with) a task's
+snapshot.
 
-* every task is self-contained — a :class:`ClusterTask` carries the
-  cluster's sinks and center, the net name and the level; the per-pool
-  worker context (technology, buffer library, constraints, flow config)
-  is installed once by the pool initializer;
-* each worker routes its task with a **fresh**
-  :class:`~repro.flowguard.diagnostics.FlowDiagnostics` and a fresh
-  fallback chain, and snapshots its own ``METRICS``/``TRACER`` (reset
-  per task), so nothing about a task's outcome depends on which worker
-  ran it or on sibling tasks;
-* the parent folds outcomes back **in cluster-index order** — subtree
-  registration, next-level driver sinks, diagnostics events, metric
-  snapshots and adopted spans all merge in the same order the serial
-  loop would have produced them.
+Determinism contract (docs/PARALLELISM.md):
 
-``jobs=1`` never constructs a pool: the framework keeps the original
-serial loop, byte-identical to the pre-parallel flow.  The default,
-auto (``jobs=0``), sizes the pool by :func:`usable_cpus` and lets each
-level decide whether the process hop pays (docs/PARALLELISM.md).
+* each task runs against freshly reset metrics and spans, so its
+  outcome does not depend on which worker ran it or on the tasks
+  before it;
+* :meth:`WorkPool.map` returns results in task order and replays each
+  task's metric updates and span roots into the parent in that order —
+  metrics through :meth:`~repro.obs.metrics.MetricsRegistry.merge_raw`,
+  bit-exact against a serial fold, and spans through
+  :meth:`~repro.obs.tracer.Tracer.adopt` under the caller's open span,
+  stamped ``worker=<pid>``;
+* a task that fell off the resilience ladder runs in the parent, in
+  its own slot of that order, so results stay byte-identical however
+  bumpy the run was.
 
 Failure handling climbs the :mod:`repro.resilience` degradation ladder
 (docs/PARALLELISM.md, "Failure model"):
@@ -39,22 +39,13 @@ Failure handling climbs the :mod:`repro.resilience` degradation ladder
 
 A task that exceeds its wall-clock budget has its workers killed and
 degrades to in-process execution; a transient failure (unpicklable
-payload, failed submission) is retried on the policy's deterministic
-backoff schedule; a broken pool is rebuilt — initializer re-run — up to
-``pool_rebuilds`` times; a task that keeps breaking the pool (confirmed
-by re-running suspects one at a time, so innocent co-runners are never
-blamed) is quarantined in-process for the rest of the run.  Every rung
-ends in the same computation running *somewhere*, so results stay
-byte-identical however bumpy the run was; the bumps land in
-``WorkPool.health`` (a :class:`~repro.resilience.RunHealth`) and the
-``fabric.*`` metrics, never in results.
-
-Worker-side observability rides home on the outcome: captured span
-roots are re-parented under the parent's open ``level`` span via
-:meth:`~repro.obs.tracer.Tracer.adopt` (stamped ``worker=<pid>``), and
-the worker's metrics registry snapshot merges into the parent registry
-via :meth:`~repro.obs.metrics.MetricsRegistry.merge_raw`.  See
-docs/PARALLELISM.md for the full argument.
+payload, failed submission) is re-submitted; a broken pool is rebuilt —
+workers booted again — up to ``pool_rebuilds`` times; a task that keeps
+breaking the pool (confirmed by re-running suspects one at a time, so
+innocent co-runners are never blamed) is quarantined in-process for the
+rest of the run.  The bumps land in ``WorkPool.health`` (a
+:class:`~repro.resilience.RunHealth`) and the ``fabric.*`` metrics,
+never in results.
 """
 
 from __future__ import annotations
@@ -64,50 +55,20 @@ import os
 import pickle
 import shutil
 import signal
+import stat
 import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
 
-from repro.flowguard.diagnostics import FlowDiagnostics
-from repro.netlist.sink import Sink
-from repro.netlist.tree import RoutedTree
-from repro.geometry import Point
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import TRACER, Span
-from repro.partition.clustering import Cluster
+from repro.obs.tracer import TRACER
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth, chaos_call
 from repro.resilience.chaos import Unpicklable
 
 _LOG = get_logger("parallel")
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterTask:
-    """One cluster net to route, as a picklable, self-contained payload."""
-
-    index: int                 # cluster index within the level (merge key)
-    name: str                  # net name, e.g. "L0_c3"
-    level: int                 # hierarchy level
-    sinks: tuple[Sink, ...]    # the cluster's sinks
-    center: Point              # the partitioner's center for the cluster
-
-
-@dataclass(slots=True)
-class ClusterOutcome:
-    """Everything a worker produced for one task."""
-
-    index: int
-    name: str
-    driver: Sink               # next-level sink (the placed driver)
-    tree: RoutedTree           # routed + buffered + repaired net tree
-    buffers: int               # buffers added on this net (incl. driver)
-    diagnostics: FlowDiagnostics  # task-local events + stage times
-    metrics: dict | None = None  # MetricsRegistry.raw_snapshot() of the task
-    spans: list[Span] = field(default_factory=list)  # captured roots
-    worker: int = 0            # pid of the worker that ran the task
 
 
 def usable_cpus() -> int:
@@ -129,26 +90,27 @@ def resolve_jobs(jobs: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Worker side (shared by every pool consumer)
+# Worker side
 # ----------------------------------------------------------------------
-# Installed once per worker process by the pool initializer.  Under the
-# preferred fork start method the context is inherited by memory image
-# (no pickling); under spawn it must survive a pickle round-trip.
+# Installed once per worker process at boot.  Under the preferred fork
+# start method the context is inherited by memory image (no pickling);
+# under spawn it must survive a pickle round-trip.
 _WORKER: dict = {}
 
 #: Seconds between a worker's checks that its parent is still alive.
 _PARENT_POLL_S = 0.5
 
 
-def init_worker(trace_enabled: bool, context=None) -> None:
-    """Pool initializer of every fan-out: cluster routing, sweep points
-    and served misses.
+def worker_context():
+    """The ``context`` of the pool whose worker is running this task."""
+    return _WORKER["context"]
 
-    ``context`` is the per-pool state tasks read back from ``_WORKER``
-    (the engine, for cluster routing).
-    """
+
+def _boot_worker(trace: bool, context) -> None:
+    """Start-up of every pool worker (the executor's initializer)."""
+    _close_inherited_sockets()
     _obey_signals_and_parent()
-    _WORKER["trace"] = trace_enabled
+    _WORKER["trace"] = trace
     _WORKER["context"] = context
     # a forked worker inherits the parent's collected spans/metrics;
     # they must not leak into (or double-count with) task snapshots
@@ -158,6 +120,30 @@ def init_worker(trace_enabled: bool, context=None) -> None:
     # ordered update log: lets the parent replay this worker's metric
     # updates bit-exactly in serial task order (see metrics.merge_raw)
     METRICS.begin_event_log()
+
+
+def _close_inherited_sockets() -> None:
+    """Close every socket fd a freshly forked worker inherited.
+
+    A worker forked under ``repro serve`` inherits the listening socket
+    and every accepted connection, so a client waiting for EOF after
+    ``Connection: close`` would hang on the worker's copy of its fd,
+    and fds would leak across worker generations.  A pool's own
+    plumbing (fork context) is pipes and semaphores, never sockets, so
+    closing every socket is safe in any pool.  Best-effort: without
+    /proc (non-Linux) it does nothing — responses carry
+    Content-Length, so spec-following clients never depend on EOF.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except (OSError, ValueError):
+        return
+    for fd in fds:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            continue
 
 
 def _obey_signals_and_parent() -> None:
@@ -188,58 +174,13 @@ def _obey_signals_and_parent() -> None:
                      daemon=True).start()
 
 
-def run_captured(fn, task):
-    """Run ``fn(task)`` in a worker against task-local metrics and spans.
-
-    ``fn`` returns an outcome with ``metrics``, ``spans`` and ``worker``
-    fields; they are filled here with the task's registry snapshot, its
-    captured span roots and this worker's pid — everything the parent
-    merges back in task order.  Resetting per task keeps an outcome
-    independent of which worker ran it and of the tasks before it.
-    """
-    trace = _WORKER.get("trace", False)
-    METRICS.reset()
-    TRACER.reset()
-    TRACER.enabled = trace
-    try:
-        outcome = fn(task)
-    finally:
-        TRACER.enabled = False
-    outcome.metrics = METRICS.raw_snapshot()
-    outcome.spans = list(TRACER.roots) if trace else []
-    outcome.worker = os.getpid()
-    return outcome
-
-
-def _route_cluster_task(task: ClusterTask) -> ClusterOutcome:
-    """Mirror one iteration of the serial loop in
-    ``HierarchicalCTS._run_level`` exactly — same engine code, same
-    ``cluster`` span — against a task-local diagnostics object."""
-    engine = _WORKER["context"]
-    diag = FlowDiagnostics()
-    chain = engine.build_chain(diag)
-    cluster = Cluster(list(task.sinks), task.center)
-    with TRACER.span("cluster", net=task.name, sinks=cluster.size):
-        driver, tree, nbuf = engine._route_cluster(
-            task.name, cluster, task.level, chain, diag
-        )
-    return ClusterOutcome(
-        index=task.index,
-        name=task.name,
-        driver=driver,
-        tree=tree,
-        buffers=nbuf,
-        diagnostics=diag,
-    )
-
-
-def _run_cluster_task(task: ClusterTask) -> ClusterOutcome:
-    """Route one cluster net inside a worker process."""
-    return run_captured(_route_cluster_task, task)
-
-
 def _tracked_call(sentinel_dir: str, token: str, fn, task, mode, arg):
     """Run one task in a worker, under the started-task ledger.
+
+    Returns ``(result, metrics, spans, pid)``: the task's result, its
+    :meth:`~repro.obs.metrics.MetricsRegistry.raw_snapshot`, its
+    captured span roots and this worker's pid — everything the parent
+    replays in task order.
 
     The sentinel file exists exactly while the task is *executing* in a
     worker: created before the call, removed on any normal completion
@@ -255,11 +196,19 @@ def _tracked_call(sentinel_dir: str, token: str, fn, task, mode, arg):
             pass
     except OSError:  # ledger unavailable: run anyway, blame-blind
         path = None
+    trace = _WORKER["trace"]
+    METRICS.reset()
+    TRACER.reset()
+    TRACER.enabled = trace
     try:
         if mode is not None:
-            return chaos_call(fn, task, mode, arg)
-        return fn(task)
+            result = chaos_call(fn, task, mode, arg)
+        else:
+            result = fn(task)
+        return (result, METRICS.raw_snapshot(),
+                list(TRACER.roots) if trace else [], os.getpid())
     finally:
+        TRACER.enabled = False
         if path is not None:
             try:
                 os.unlink(path)
@@ -273,34 +222,35 @@ def _tracked_call(sentinel_dir: str, token: str, fn, task, mode, arg):
 class WorkPool:
     """A lazily-created process pool with per-task degradation.
 
-    The generic fan-out substrate shared by :class:`ParallelRouter`
-    (per-cluster routing) and :mod:`repro.sweep` (per-point sweep
-    execution).  Tasks must be picklable and the mapped function a
-    module-level callable; the worker context, if any, is installed by
-    ``initializer``.  Every failure mode degrades per task rather than
-    aborting — a ``None`` result means the caller runs that task
-    in-process — after climbing the resilience ladder ``policy``
-    budgets: deadline, bounded retry, pool resurrection, quarantine.
+    The one fan-out substrate of the repo: cluster routing, sweep
+    points, served misses and design features all run through it.
+    Tasks must be picklable and the mapped function a module-level
+    callable; ``context``, if any, is installed in every worker at boot
+    and read back there with :func:`worker_context`.  Every failure
+    mode degrades per task rather than aborting: after climbing the
+    resilience ladder ``policy`` budgets (deadline, bounded retry, pool
+    resurrection, quarantine) the task runs in the parent, through the
+    ``fallback`` given to :meth:`map`.
 
     ``health`` collects every resilience action taken;
     ``last_failure_reasons`` maps task index → ``(code, detail)`` for
-    the most recent :meth:`map` call so callers can attribute each
-    degradation (``"timeout"`` vs ``"fault"`` vs ``"quarantine"`` ...).
-    ``chaos``, when set, injects deterministic seeded faults into
-    submissions — the test/CI harness for all of the above.
+    the most recent :meth:`map` call (``"timeout"`` vs ``"fault"`` vs
+    ``"quarantine"`` ...).  ``chaos``, when set, injects deterministic
+    seeded faults into submissions — the test/CI harness for all of the
+    above.  Whether workers capture spans is fixed when the pool is
+    built, from ``TRACER.enabled``.
 
     The executor is created lazily on the first batch, so constructing
     a pool that never sees work costs nothing; ``fork`` is preferred
-    when available (the initializer context then rides the memory
-    image instead of a pickle round-trip).  :meth:`shutdown` is final
-    and may come from another thread while a :meth:`map` is running.
+    when available (the context then rides the memory image instead of
+    a pickle round-trip).  :meth:`shutdown` is final and may come from
+    another thread while a :meth:`map` is running.
     """
 
     def __init__(
         self,
         jobs: int,
-        initializer=None,
-        initargs: tuple = (),
+        context=None,
         policy: FabricPolicy | None = None,
         chaos: FabricChaos | None = None,
         health: RunHealth | None = None,
@@ -310,8 +260,7 @@ class WorkPool:
         self.chaos = chaos
         self.health = health if health is not None else RunHealth()
         self.last_failure_reasons: dict[int, tuple[str, str]] = {}
-        self._initializer = initializer
-        self._initargs = initargs
+        self._boot_args = (TRACER.enabled, context)
         self._executor: ProcessPoolExecutor | None = None
         # guards executor construction against a concurrent shutdown
         self._lifecycle = threading.Lock()
@@ -362,8 +311,8 @@ class WorkPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=ctx,
-                initializer=self._initializer,
-                initargs=self._initargs,
+                initializer=_boot_worker,
+                initargs=self._boot_args,
             )
         except Exception as exc:  # noqa: BLE001 — degrade, don't abort
             _LOG.warning("process pool unavailable (%s); "
@@ -377,7 +326,7 @@ class WorkPool:
                 "resurrect", attempt=self._rebuilds_used,
                 detail=(f"broken pool rebuilt "
                         f"({self._rebuilds_used}/"
-                        f"{self.policy.pool_rebuilds}); initializer re-run"),
+                        f"{self.policy.pool_rebuilds}); workers re-booted"),
             )
             _LOG.warning("broken process pool rebuilt (%d/%d)",
                          self._rebuilds_used, self.policy.pool_rebuilds)
@@ -504,34 +453,45 @@ class WorkPool:
         return label in self._quarantined
 
     # -- mapping --------------------------------------------------------
-    def run_one(self, fn, task, describe=str, timeout: float | None = None):
-        """Run a single task; the serve layer's submission hook.
-
-        A thin :meth:`map` of one that keeps the whole resilience
-        ladder (deadline, retry, resurrect, quarantine) per submission.
-        ``timeout`` overrides the policy's ``task_timeout`` for this
-        call only — how :mod:`repro.serve` rides a *per-request*
-        deadline on the shared ladder.  Returns the result, or ``None``
-        when the task fell off the ladder (``last_failure_reasons[0]``
-        says why).
-        """
-        return self.map(fn, [task], describe=describe, timeout=timeout)[0]
-
-    def map(self, fn, tasks: list, describe=str,
+    def map(self, fn, tasks: list, describe=str, fallback=None,
             timeout: float | None = None) -> list:
-        """Run ``fn`` over ``tasks``; returns results aligned to tasks.
+        """Run ``fn`` over ``tasks``; returns results in task order.
 
-        A ``None`` entry means that task fell off the resilience ladder
-        (deadline expiry, exhausted retries, quarantine, lost pool) and
-        the caller must run it in-process — the per-task degradation
-        contract both the framework and the sweep runner rely on — or,
-        with reason ``"closed"``, that :meth:`shutdown` stopped it.
+        Each task's metric updates and span roots come home with its
+        result and are replayed into the parent in task order (spans
+        under the caller's open span, stamped ``worker=<pid>``), so the
+        parent's registry and trace read as if the tasks had run here
+        one after another.  A task that fell off the resilience ladder
+        (deadline expiry, exhausted retries, quarantine, lost pool, or
+        ``"closed"`` when :meth:`shutdown` stopped it) runs in its own
+        slot of that order as ``fallback(task, code, detail)``; the
+        default fallback is ``fn(task)`` in the parent.
         ``describe(task)`` labels failure logs, health events and the
-        quarantine ledger; ``last_failure_reasons`` explains each
-        ``None`` until the next ``map`` call.  ``timeout``, when given,
-        overrides ``policy.task_timeout`` for this call (0 disarms the
-        deadline; ``None`` keeps the policy's value).
+        quarantine ledger; ``last_failure_reasons`` keeps each
+        fallback's ``(code, detail)`` until the next call.  ``timeout``,
+        when given, overrides ``policy.task_timeout`` for this call (0
+        disarms the deadline; ``None`` keeps the policy's value).
         """
+        shipped = self._run(fn, tasks, describe, timeout)
+        results = []
+        for i, (task, item) in enumerate(zip(tasks, shipped)):
+            if item is None:
+                code, detail = self.last_failure_reasons[i]
+                results.append(fn(task) if fallback is None
+                               else fallback(task, code, detail))
+                continue
+            result, metrics, spans, worker = item
+            METRICS.merge_raw(metrics)
+            if TRACER.enabled and spans:
+                TRACER.adopt(spans, tid=worker, worker=worker)
+            results.append(result)
+        return results
+
+    def _run(self, fn, tasks: list, describe,
+             timeout: float | None) -> list:
+        """Climb the ladder for ``tasks``; returns what each worker
+        shipped home, aligned to tasks, or ``None`` where the task fell
+        off (``last_failure_reasons`` says why)."""
         results: list = [None] * len(tasks)
         self.last_failure_reasons = {}
         if not tasks:
@@ -657,7 +617,7 @@ class WorkPool:
                     # shutdown() killed the worker: not the task's fault,
                     # and nothing may run it again on this pool
                     self._abandon([i])
-                elif _pool_is_broken(exc):
+                elif isinstance(exc, BrokenProcessPool):
                     broke = True
                     victims.append((i, token))
                 else:
@@ -742,9 +702,6 @@ class WorkPool:
                     detail=f"transient submission failure ({exc}); "
                            f"re-submitting",
                 )
-                backoff = self.policy.backoff(transient[i])
-                if backoff > 0:
-                    time.sleep(backoff)
                 requeue.append(i)
             else:
                 self._degrade(
@@ -760,69 +717,3 @@ class WorkPool:
                 f"worker failed ({exc.__class__.__name__}: {exc}); "
                 f"ran in-process",
             )
-
-
-class ParallelRouter:
-    """A per-run process pool that routes cluster tasks.
-
-    Created by :class:`~repro.cts.framework.HierarchicalCTS` when the
-    run resolves to more than one worker, and shut down when the run
-    ends; the pool (and its forked worker context) is reused across all
-    levels of the run.  A thin cluster-shaped wrapper over
-    :class:`WorkPool` that passes the flow's
-    :class:`~repro.resilience.FabricPolicy` and, for chaos runs, a
-    :class:`~repro.resilience.FabricChaos` through.
-    """
-
-    def __init__(
-        self,
-        engine,
-        jobs: int,
-        trace_enabled: bool | None = None,
-        policy: FabricPolicy | None = None,
-        chaos: FabricChaos | None = None,
-    ):
-        trace = TRACER.enabled if trace_enabled is None else trace_enabled
-        self._pool = WorkPool(
-            jobs, initializer=init_worker, initargs=(trace, engine),
-            policy=policy, chaos=chaos,
-        )
-        self.jobs = self._pool.jobs
-
-    @property
-    def health(self) -> RunHealth:
-        return self._pool.health
-
-    @property
-    def last_failure_reasons(self) -> dict[int, tuple[str, str]]:
-        return self._pool.last_failure_reasons
-
-    def shutdown(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "ParallelRouter":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.shutdown()
-        return False
-
-    def route_clusters(
-        self, tasks: list[ClusterTask]
-    ) -> list[ClusterOutcome | None]:
-        """Route ``tasks``; returns outcomes aligned with ``tasks``.
-
-        A ``None`` entry means that task fell off the resilience ladder
-        and the caller must route it serially;
-        ``last_failure_reasons`` says why.
-        """
-        return self._pool.map(
-            _run_cluster_task, tasks, describe=lambda t: f"net {t.name}"
-        )
-
-
-def _pool_is_broken(exc: Exception) -> bool:
-    """True when the exception means the whole pool is unusable."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(exc, BrokenProcessPool)

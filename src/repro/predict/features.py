@@ -331,15 +331,6 @@ class Dataset:
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def rows_for_design(self, design: str,
-                        scale: float | None = None) -> np.ndarray:
-        """Boolean row mask selecting one design (optionally one scale)."""
-        mask = np.array([d == design for d in self.designs])
-        if scale is not None:
-            mask &= np.array(
-                [abs(s - scale) < 1e-12 for s in self.scales])
-        return mask
-
 
 def _design_feature_task(item: tuple[str, float]) -> tuple[
         tuple[str, float], tuple[float, ...]]:
@@ -442,12 +433,8 @@ def _warm_design_features(pairs: list[tuple[str, float]],
             _design_feature_task, cold,
             describe=lambda p: f"features {p[0]}@{p[1]:g}",
         )
-    for pair, outcome in zip(cold, outcomes):
-        if outcome is None:
-            design_features(*pair)       # degrade in-process
-        else:
-            item, values = outcome
-            # seed the parent's memo so feature_vector() hits it; the
-            # worker ran the same pure function, so the values are the
-            # ones a serial extraction would have computed
-            _DESIGN_CACHE[item] = values
+    for item, values in outcomes:
+        # seed the parent's memo so feature_vector() hits it; the
+        # worker ran the same pure function, so the values are the
+        # ones a serial extraction would have computed
+        _DESIGN_CACHE[item] = values

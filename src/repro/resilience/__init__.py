@@ -12,9 +12,8 @@ degradation ladder (docs/PARALLELISM.md, "Failure model"):
 deadline → retry → resurrect → quarantine → in-process
 
 * :class:`FabricPolicy` — the knobs: per-task wall-clock deadline,
-  bounded retries with a deterministic backoff schedule (expressed in
-  attempt counts, never timestamps), pool-rebuild and quarantine
-  budgets, shutdown grace;
+  bounded immediate retries, pool-rebuild and quarantine budgets,
+  shutdown grace;
 * :class:`FabricChaos` — seeded, deterministic fault injection for the
   fabric itself (worker kills, task delays, unpicklable payloads), the
   chaos harness that exercises every rung of the ladder in tests/CI;

@@ -6,13 +6,8 @@ it in-process: the per-task wall-clock deadline, the retry budget for
 transient submission/payload failures, how many times a broken pool may
 be rebuilt per run, how many pool breaks a single task may cause before
 it is quarantined, and how long a shutdown waits before reaping worker
-processes.
-
-The backoff schedule is **deterministic and expressed in attempt
-counts**: :meth:`FabricPolicy.backoff` is a pure function of the retry
-round, so two runs retry on exactly the same schedule and nothing
-wall-clock-dependent ever reaches diagnostics, health events or stored
-records.
+processes.  Retries are immediate: nothing wall-clock-dependent
+decides when a task re-runs.
 """
 
 from __future__ import annotations
@@ -45,14 +40,6 @@ class FabricPolicy:
     #: terminating (then killing) them; bounds run-end latency and
     #: guarantees no orphaned children outlive the pool.
     shutdown_grace: float = 5.0
-    #: Backoff schedule: before retry round ``r`` the parent sleeps
-    #: ``backoff_base * backoff_factor**(r - 1)`` seconds, capped at
-    #: ``backoff_cap``.  The *schedule* is a pure function of the
-    #: attempt count; with ``backoff_base == 0`` (the default) retries
-    #: are immediate.
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
 
     def __post_init__(self) -> None:
         if self.task_timeout < 0:
@@ -76,38 +63,3 @@ class FabricPolicy:
             raise ValueError(
                 f"shutdown_grace must be >= 0, got {self.shutdown_grace}"
             )
-        if self.backoff_base < 0 or self.backoff_factor < 1 \
-                or self.backoff_cap < 0:
-            raise ValueError(
-                f"backoff schedule must satisfy base >= 0, factor >= 1, "
-                f"cap >= 0; got base={self.backoff_base}, "
-                f"factor={self.backoff_factor}, cap={self.backoff_cap}"
-            )
-
-    # ------------------------------------------------------------------
-    def backoff(self, retry_round: int) -> float:
-        """Seconds to wait before retry round ``retry_round`` (1-based).
-
-        A pure function of the attempt count — no jitter, no clock
-        reads — so retry schedules are identical across runs.
-        """
-        if retry_round < 1 or self.backoff_base <= 0:
-            return 0.0
-        return min(
-            self.backoff_base * self.backoff_factor ** (retry_round - 1),
-            self.backoff_cap,
-        )
-
-    @classmethod
-    def from_flow_config(cls, config) -> "FabricPolicy":
-        """The policy a :class:`~repro.cts.framework.FlowConfig` asks for.
-
-        Reads the execution-fabric fields (``task_timeout``,
-        ``task_retries``, ``pool_rebuilds``) and validates them; any
-        object carrying those attributes works.
-        """
-        return cls(
-            task_timeout=float(getattr(config, "task_timeout", 0.0)),
-            task_retries=int(getattr(config, "task_retries", 1)),
-            pool_rebuilds=int(getattr(config, "pool_rebuilds", 2)),
-        )

@@ -25,11 +25,11 @@ ServeRequest`\\ s through four layers, cheapest first:
    only parses, looks up and answers; the pool's resilience ladder
    (deadline → retry → resurrect → quarantine → in-process) absorbs
    worker failures per request.  Per-request deadlines ride the
-   ladder's deadline rung via :meth:`~repro.parallel.WorkPool.
-   run_one`'s timeout override; on expiry the workers are killed and
-   the request fails with the typed :class:`DeadlineExceeded` (HTTP
-   504).  With one dispatcher (``jobs=1``, or auto on one usable CPU)
-   the flow runs on the dispatcher's thread in this process.
+   ladder's deadline rung via :meth:`~repro.parallel.WorkPool.map`'s
+   timeout override; on expiry the workers are killed and the request
+   fails with the typed :class:`DeadlineExceeded` (HTTP 504).  With
+   one dispatcher (``jobs=1``, or auto on one usable CPU) the flow
+   runs on the dispatcher's thread in this process.
 
 Successful records are stored, so the next identical request is a
 layer-1 hit.  Progress streams to subscribers as events: lifecycle
@@ -41,19 +41,17 @@ runs in-process.
 from __future__ import annotations
 
 import asyncio
-import os
-import stat
 import threading
 from dataclasses import dataclass
 
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.parallel import WorkPool, init_worker, resolve_jobs
+from repro.parallel import WorkPool, resolve_jobs
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.serve.queue import AdmissionQueue, AdmissionRejected
 from repro.serve.schema import ServeRequest
-from repro.sweep.runner import PointTask, _run_point_worker, compute_record
+from repro.sweep.runner import PointOutcome, PointTask, compute_record
 from repro.sweep.store import SweepStore
 
 _LOG = get_logger("serve")
@@ -74,36 +72,6 @@ SERVE_COUNTERS = (
 #: Span depth forwarded to streaming clients (flow / level / stage);
 #: anything deeper is per-cluster noise at service granularity.
 _STREAM_SPAN_DEPTH = 3
-
-
-def _close_inherited_sockets() -> None:
-    """Close every socket fd in a freshly forked pool worker.
-
-    A worker forked mid-serve inherits the parent's listening socket
-    and every accepted connection — so a client waiting for EOF after
-    ``Connection: close`` would hang on the worker's copy of its fd,
-    and fds would leak across worker generations.  The pool's own
-    plumbing (fork context) is pipes and semaphores, never sockets, so
-    closing every socket here is safe.  Best-effort: without /proc
-    (non-Linux) it does nothing — responses carry Content-Length, so
-    spec-following clients never depend on EOF.
-    """
-    try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
-    except (OSError, ValueError):
-        return
-    for fd in fds:
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            continue
-
-
-def _init_serve_worker(trace_enabled: bool) -> None:
-    """Pool-worker initializer: socket hygiene, then the shared setup."""
-    _close_inherited_sockets()
-    init_worker(trace_enabled)
 
 
 class DeadlineExceeded(Exception):
@@ -198,11 +166,8 @@ class CTSService:
                 # each dispatcher owns a one-worker pool: per-request
                 # deadlines can kill a hung flow without touching a
                 # sibling dispatcher's request
-                pool = WorkPool(
-                    1, initializer=_init_serve_worker,
-                    initargs=(TRACER.enabled,), policy=self.policy,
-                    chaos=self.chaos, health=self.health,
-                )
+                pool = WorkPool(1, policy=self.policy, chaos=self.chaos,
+                                health=self.health)
                 self._pools.append(pool)
             self._dispatchers.append(asyncio.create_task(
                 self._dispatch(pool), name=f"cts-dispatch-{i}"
@@ -355,7 +320,7 @@ class CTSService:
             # server's concurrency is its dispatcher count
             task = PointTask(point=request.point,
                              fingerprint=request.fingerprint,
-                             key=request.key, effective_jobs=1)
+                             key=request.key, flow_jobs=1)
             try:
                 record = await asyncio.to_thread(
                     self._execute, task, flight, pool,
@@ -392,15 +357,10 @@ class CTSService:
                  pool: WorkPool | None, deadline: float) -> dict:
         METRICS.inc("serve.flow.executed")
         if pool is None:
-            return self._execute_local(task, flight)
-        outcome = pool.run_one(
-            _run_point_worker, task,
-            describe=lambda t: f"serve {t.key[:12]}",
-            timeout=deadline if deadline > 0 else None,
-        )
-        if outcome is None:
-            code, detail = pool.last_failure_reasons.get(
-                0, ("fault", "worker unavailable"))
+            return self._execute_local(task, flight).record
+
+        def degraded(task: PointTask, code: str,
+                     detail: str) -> PointOutcome:
             if code == "closed":
                 # aclose() shut the pool down under this request: the
                 # server is stopping, so nothing runs it again here
@@ -415,14 +375,16 @@ class CTSService:
                          "running %s in-process", code, detail,
                          task.key[:12])
             return self._execute_local(task, flight)
-        if outcome.metrics is not None:
-            METRICS.merge_raw(outcome.metrics)
-        if outcome.spans:
-            TRACER.adopt(outcome.spans, tid=outcome.worker,
-                         worker=outcome.worker)
-        return outcome.record
 
-    def _execute_local(self, task: PointTask, flight: _Flight) -> dict:
+        return pool.map(
+            compute_record, [task],
+            describe=lambda t: f"serve {t.key[:12]}",
+            fallback=degraded,
+            timeout=deadline if deadline > 0 else None,
+        )[0].record
+
+    def _execute_local(self, task: PointTask,
+                       flight: _Flight) -> PointOutcome:
         """Run the flow on this dispatcher's thread, streaming spans.
 
         While subscribers are attached, the global tracer is enabled
@@ -431,7 +393,7 @@ class CTSService:
         live per-stage progress without a separate progress channel.
         """
         if not flight.subscribers:
-            return compute_record(task).record
+            return compute_record(task)
         loop = self._loop
         ident = threading.get_ident()
 
@@ -453,7 +415,7 @@ class CTSService:
                 TRACER.enable()
         TRACER.subscribe(on_span)
         try:
-            return compute_record(task).record
+            return compute_record(task)
         finally:
             TRACER.unsubscribe(on_span)
             with self._stream_lock:

@@ -8,7 +8,9 @@ partitions the points into cache hits (served straight from the store,
 :class:`repro.parallel.WorkPool` when ``jobs != 1``; every point is a
 self-contained picklable :class:`PointTask` (the worker regenerates the
 design deterministically from its name and scale, so nothing heavy
-crosses the process boundary).
+crosses the process boundary).  Each point's flow gets its share of the
+CPUs under a pooled sweep (usable CPUs // sweep workers, at least 1)
+and auto jobs under a serial one.
 
 Degradation mirrors the flow itself: *inside* a point the hierarchical
 engine already absorbs faults through flowguard; a point that still
@@ -49,8 +51,8 @@ from repro.flowguard.faults import FaultInjected, FaultInjector
 from repro.obs.clock import now
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import TRACER, Span
-from repro.parallel import WorkPool, init_worker, resolve_jobs, run_captured
+from repro.obs.tracer import TRACER
+from repro.parallel import WorkPool, resolve_jobs
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.store import RESULT_SCHEMA_VERSION, SweepStore, record_key
@@ -74,12 +76,9 @@ class PointTask:
     fingerprint: str           # design content hash (cache-key half)
     key: str                   # full content-addressed record key
     inject_fault: bool = False  # deterministic per-point fault injection
-    # per-point FlowConfig.jobs override: the oversubscription clamp's
-    # share (sweep_jobs x point_jobs <= CPU budget), or 1 for a served
-    # miss; None = as-specced.
-    # Execution-only: cannot change the record (jobs is outside the
-    # canonical config), so clamped and unclamped runs share cache keys.
-    effective_jobs: int | None = None
+    # worker processes of the point's flow (HierarchicalCTS jobs; 0 =
+    # auto).  Execution-only: it cannot change the record.
+    flow_jobs: int = 0
 
 
 @dataclass(slots=True)
@@ -89,9 +88,6 @@ class PointOutcome:
     index: int
     record: dict
     runtime_s: float
-    metrics: dict | None = None       # worker's raw registry snapshot
-    spans: list[Span] = field(default_factory=list)
-    worker: int = 0
 
 
 @dataclass(slots=True)
@@ -129,15 +125,12 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Point execution (both the parent's serial path and the workers)
 # ----------------------------------------------------------------------
-def _execute_point(
-    point: SweepPoint, jobs_override: int | None = None
-) -> tuple[dict, dict]:
-    """Run the flow at one point; returns (quality, flow_events).
+def _execute_point(point: SweepPoint, jobs: int) -> tuple[dict, dict]:
+    """Run the flow at one point on ``jobs`` workers; returns
+    (quality, flow_events).
 
     The design regenerates deterministically from the catalog, so a
-    worker needs nothing but the point itself.  ``jobs_override``
-    applies the sweep runner's oversubscription clamp — an
-    execution-only change that cannot alter the quality outputs.
+    worker needs nothing but the point itself.
     """
     tech = Technology()
     design = load_design(point.design, scale=point.scale)
@@ -148,14 +141,12 @@ def _execute_point(
         max_length=TABLE5.max_length,
         max_slew=TABLE5.max_slew,
     )
-    config = point.flow_config()
-    if jobs_override is not None:
-        config.jobs = jobs_override
     engine = HierarchicalCTS(
         tech=tech,
         library=load_library(point.library),
         constraints=constraints,
-        config=config,
+        config=point.flow_config(),
+        jobs=jobs,
     )
     result = engine.run(design.sinks, design.source)
     report = evaluate_result(result, tech)
@@ -206,7 +197,7 @@ def compute_record(task: PointTask) -> PointOutcome:
                 raise FaultInjected(
                     f"injected sweep fault at point {point.index}"
                 )
-            quality, events = _execute_point(point, task.effective_jobs)
+            quality, events = _execute_point(point, task.flow_jobs)
             record.update(status="ok", error=None, quality=quality,
                           flow_events=events)
         except Exception as exc:  # noqa: BLE001 — degrade, don't abort
@@ -223,17 +214,6 @@ def compute_record(task: PointTask) -> PointOutcome:
     )
 
 
-def _run_point_worker(task: PointTask) -> PointOutcome:
-    """Execute one point inside a worker process (pool initializer:
-    :func:`repro.parallel.init_worker`).
-
-    Runs against task-local metrics and tracer state and ships both
-    home on the outcome, so the parent's registry and span forest end
-    up equivalent to a serial run's.
-    """
-    return run_captured(compute_record, task)
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
@@ -243,33 +223,22 @@ def run_sweep(
     jobs: int = 1,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
-    task_timeout: float = 0.0,
-    task_retries: int = 1,
-    pool_rebuilds: int = 2,
-    fabric_fault_rate: float = 0.0,
-    fabric_fault_seed: int = 0,
+    policy: FabricPolicy | None = None,
+    chaos: FabricChaos | None = None,
 ) -> SweepReport:
     """Run every point of ``spec`` through ``store`` (see module doc).
 
-    ``jobs`` is the sweep-level fan-out (each point may additionally
-    set ``FlowConfig.jobs`` for within-point cluster parallelism; the
-    product is clamped to the CPU budget — see the clamp below).
-    ``fault_rate``/``fault_seed`` drive the deterministic per-point
-    fault injection the robustness tests use; ``fabric_fault_rate``/
-    ``fabric_fault_seed`` drive the fabric-level chaos harness (worker
+    ``jobs`` is the sweep-level fan-out.  ``fault_rate``/``fault_seed``
+    drive the deterministic per-point fault injection the robustness
+    tests use; ``chaos`` drives the fabric-level chaos harness (worker
     kills, delays, corrupted payloads) — point faults land in records,
-    fabric faults never do.  ``task_timeout``/``task_retries``/
-    ``pool_rebuilds`` budget the resilience ladder of the sweep's pool.
+    fabric faults never do.  ``policy`` budgets the resilience ladder
+    of the sweep's pool.
     """
     t0 = now()
     points = spec.expand()
     injector = FaultInjector(fault_rate, seed=fault_seed, name="sweep") \
         if fault_rate > 0 else None
-    policy = FabricPolicy(task_timeout=task_timeout,
-                          task_retries=task_retries,
-                          pool_rebuilds=pool_rebuilds)
-    chaos = FabricChaos(fabric_fault_rate, seed=fabric_fault_seed) \
-        if fabric_fault_rate > 0 else None
 
     with TRACER.span("sweep", spec=spec.name, points=len(points),
                      jobs=jobs):
@@ -320,34 +289,24 @@ def run_sweep(
                   len(tasks))
 
         health = RunHealth()
-        outcomes: list[PointOutcome | None]
         if jobs != 1 and len(tasks) > 1:
-            tasks = _clamp_point_jobs(tasks, jobs)
-            with WorkPool(jobs, initializer=init_worker,
-                          initargs=(TRACER.enabled,),
-                          policy=policy, chaos=chaos,
+            with WorkPool(jobs, policy=policy, chaos=chaos,
                           health=health) as pool:
+                # each point's flow gets its share of the CPUs, so
+                # sweep workers x flow workers stays within budget
+                share = max(1, resolve_jobs(0) // pool.jobs)
+                tasks = [replace(task, flow_jobs=share) for task in tasks]
                 outcomes = pool.map(
-                    _run_point_worker, tasks,
+                    compute_record, tasks,
                     describe=lambda t: t.point.label(),
                 )
         else:
-            outcomes = [None] * len(tasks)
+            # lazily, so each point is stored as soon as it finishes
+            outcomes = (compute_record(task) for task in tasks)
 
         failed = 0
         record_by_key: dict[str, dict] = {}
         for task, outcome in zip(tasks, outcomes):
-            if outcome is None:
-                # pool unavailable or the worker died: degrade to
-                # in-process execution, the same per-task contract
-                # cluster routing uses
-                outcome = compute_record(task)
-            else:
-                if outcome.metrics is not None:
-                    METRICS.merge_raw(outcome.metrics)
-                if TRACER.enabled and outcome.spans:
-                    TRACER.adopt(outcome.spans, tid=outcome.worker,
-                                 worker=outcome.worker)
             record = outcome.record
             if record["status"] == "ok":
                 METRICS.inc("sweep.point.ok")
@@ -389,37 +348,3 @@ def run_sweep(
     )
     _LOG.info("%s", report.summary())
     return report
-
-
-def _clamp_point_jobs(tasks: list[PointTask], jobs: int) -> list[PointTask]:
-    """Clamp per-point ``FlowConfig.jobs`` to the machine's CPU budget.
-
-    With sweep-level fan-out active, a point asking for its own cluster
-    pool would oversubscribe: ``sweep_jobs x point_jobs`` processes on
-    ``resolve_jobs(0)`` usable CPUs.  Each point's jobs is clamped so
-    the product stays within budget.  An auto point (``jobs < 1``, the
-    default) takes the allowed share silently; an explicit over-ask is
-    counted in ``sweep.jobs.clamped`` and logged once.  Execution-only
-    — clamped points produce the same bytes as unclamped ones.
-    """
-    pool_jobs = resolve_jobs(jobs)
-    budget = resolve_jobs(0)
-    allowed = max(1, budget // pool_jobs)
-    clamped: list[PointTask] = []
-    hits = 0
-    for task in tasks:
-        asked = task.point.flow_config().jobs
-        if resolve_jobs(asked) > allowed:
-            clamped.append(replace(task, effective_jobs=allowed))
-            if asked >= 1:
-                hits += 1
-                METRICS.inc("sweep.jobs.clamped")
-        else:
-            clamped.append(task)
-    if hits:
-        _LOG.warning(
-            "oversubscription clamp: %d point(s) asked for more than "
-            "%d flow worker(s) under sweep jobs=%d on a %d-CPU budget; "
-            "clamped", hits, allowed, pool_jobs, budget,
-        )
-    return clamped

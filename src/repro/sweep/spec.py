@@ -130,16 +130,9 @@ def resolve_point(
     overrides = {
         k: v for k, v in combo.items() if k not in _ENGINE_KEYS
     }
-    # validates field names and normalises value types eagerly;
-    # execution-fabric knobs (jobs, task_timeout, ...) are absent
-    # from the canonical to_dict() form, so read those back off the
-    # config itself — they sweep execution, not results
-    cfg = FlowConfig.from_dict(overrides)
-    canon = cfg.to_dict()
-    resolved = tuple(sorted(
-        (k, canon[k] if k in canon else getattr(cfg, k))
-        for k in overrides
-    ))
+    # validates field names and normalises value types eagerly
+    canon = FlowConfig.from_dict(overrides).to_dict()
+    resolved = tuple(sorted((k, canon[k]) for k in overrides))
     return SweepPoint(
         index=index,
         design=design,

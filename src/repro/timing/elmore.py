@@ -46,6 +46,30 @@ class TimingReport:
         return self.latency - self.min_delay
 
 
+def downstream_stage_cap(tree: RoutedTree,
+                         tech: Technology) -> dict[int, float]:
+    """In-stage downstream capacitance at every node.
+
+    The value at a node counts wire and pins below it, but stops at
+    buffer inputs: a buffered child subtree contributes only the buffer
+    input cap.  The value *at* a buffer node (or the root) is the load
+    of the stage it drives, which is what Eq. (6) needs.
+    """
+    cap: dict[int, float] = {}
+    for nid in tree.postorder():
+        node = tree.node(nid)
+        total = node.sink.cap if node.sink is not None else 0.0
+        for child_id in node.children:
+            child = tree.node(child_id)
+            total += tech.wire_cap(tree.edge_length(child_id))
+            if child.is_buffer:
+                total += child.buffer.input_cap
+            else:
+                total += cap[child_id]
+        cap[nid] = total
+    return cap
+
+
 class ElmoreAnalyzer:
     """Reusable Elmore timing engine for routed clock trees."""
 
@@ -58,31 +82,7 @@ class ElmoreAnalyzer:
         """One bottom-up and one top-down walk over the node objects."""
         if not tree.sink_node_ids():
             raise ValueError("cannot analyze a tree with no sinks")
-        stage_cap = self._downstream_stage_cap(tree)
-        return self._propagate(tree, stage_cap)
-
-    # ------------------------------------------------------------------
-    def _downstream_stage_cap(self, tree: RoutedTree) -> dict[int, float]:
-        """In-stage downstream capacitance at every node.
-
-        The value at a node counts wire and pins below it, but stops at
-        buffer inputs: a buffered child subtree contributes only the buffer
-        input cap.  The value *at* a buffer node is the load of the stage
-        it drives (its own subtree), which is what Eq. (6) needs.
-        """
-        cap: dict[int, float] = {}
-        for nid in tree.postorder():
-            node = tree.node(nid)
-            total = node.sink.cap if node.sink is not None else 0.0
-            for child_id in node.children:
-                child = tree.node(child_id)
-                total += self._tech.wire_cap(tree.edge_length(child_id))
-                if child.is_buffer:
-                    total += child.buffer.input_cap
-                else:
-                    total += cap[child_id]
-            cap[nid] = total
-        return cap
+        return self._propagate(tree, downstream_stage_cap(tree, self._tech))
 
     # ------------------------------------------------------------------
     def _propagate(

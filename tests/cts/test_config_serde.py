@@ -1,15 +1,20 @@
 """FlowConfig canonical serialisation: round-trip and stable digest.
 
-Since config schema v2 the canonical form covers only *result-bearing*
-knobs: execution-fabric fields (``jobs``, ``task_timeout``,
-``task_retries``, ``pool_rebuilds``) are excluded by contract — they
-change where the flow runs, never what it computes, so they must not
-change cache keys.
+The canonical form covers only *result-bearing* knobs.  Execution
+settings (``jobs``, ``task_timeout``, ``task_retries``,
+``pool_rebuilds``) change where the flow runs, never what it computes:
+they are :class:`~repro.cts.framework.HierarchicalCTS` arguments, not
+config fields, so they can never reach a cache key.
 """
+
+from dataclasses import fields
 
 import pytest
 
-from repro.cts.framework import _EXECUTION_FIELDS, FlowConfig
+from repro.cts.framework import FlowConfig
+
+EXECUTION_SETTINGS = ("jobs", "task_timeout", "task_retries",
+                      "pool_rebuilds")
 
 
 def test_round_trip_is_lossless_for_result_knobs():
@@ -20,32 +25,28 @@ def test_round_trip_is_lossless_for_result_knobs():
 
 
 def test_execution_fields_are_excluded_from_canonical_form():
-    config = FlowConfig(jobs=4, task_timeout=5.0, task_retries=3,
-                        pool_rebuilds=1)
-    canon = config.to_dict()
-    for name in _EXECUTION_FIELDS:
+    names = {f.name for f in fields(FlowConfig)}
+    canon = FlowConfig().to_dict()
+    for name in EXECUTION_SETTINGS:
+        assert name not in names, name
         assert name not in canon, name
-    # the round-trip resets fabric knobs to defaults (jobs: 0 = auto) ...
-    again = FlowConfig.from_dict(canon)
-    assert again.jobs == 0
-    # ... but every result-bearing knob survives
-    assert again.to_dict() == canon
+    # every field but the two callables is canonical
+    assert sorted(canon) == sorted(names - {"router", "partitioner"})
 
 
 def test_fabric_knobs_do_not_change_the_digest():
-    base = FlowConfig(eps=0.4)
-    assert base.digest() == FlowConfig(
-        eps=0.4, jobs=8, task_timeout=2.0, task_retries=0, pool_rebuilds=0
-    ).digest()
-    assert base.digest() != FlowConfig(eps=0.5).digest()
+    # the default digest from before the execution settings left the
+    # config: every stored cache key stays valid
+    assert FlowConfig().digest() == (
+        "ee7b7255e37153f0588888e9d3b75e82f3a8ae6a04c60cb62e2d2e0ccb765a26")
+    assert FlowConfig(eps=0.4).digest() != FlowConfig(eps=0.5).digest()
 
 
-def test_from_dict_still_accepts_execution_fields():
-    # sweep specs may grid over fabric knobs; they configure execution
-    # even though they never reach the canonical form
-    config = FlowConfig.from_dict({"jobs": 2, "task_timeout": 1.5})
-    assert config.jobs == 2
-    assert config.task_timeout == 1.5
+@pytest.mark.parametrize("name", EXECUTION_SETTINGS)
+def test_from_dict_rejects_execution_settings(name):
+    # a sweep or serve knob naming one fails instead of being ignored
+    with pytest.raises(ValueError, match="unknown FlowConfig field"):
+        FlowConfig.from_dict({name: 2})
 
 
 def test_partial_dict_fills_defaults():

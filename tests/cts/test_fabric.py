@@ -19,7 +19,7 @@ from repro.cts.evaluation import evaluate_result
 from repro.geometry import Point
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.parallel import WorkPool, init_worker
+from repro.parallel import WorkPool, worker_context
 from repro.perf import make_uniform_sinks
 from repro.resilience import FabricChaos, FabricPolicy
 from repro.tech import Technology
@@ -72,6 +72,11 @@ def hang_in_worker(task):
     return value * value
 
 
+def _left(task, code, detail):
+    """Fallback that leaves a degraded task unrun: its slot reads None."""
+    return None
+
+
 def _assert_no_orphans():
     deadline = time.monotonic() + 5.0
     while multiprocessing.active_children():
@@ -92,9 +97,51 @@ def test_plain_map_round_trips():
     _assert_no_orphans()
 
 
+def observe_late(task):
+    """Record ``value`` in the metrics; earlier tasks finish later.
+
+    Value 3 fails in a worker, so its record comes from the parent's
+    fallback."""
+    value, parent_pid = task
+    if os.getpid() != parent_pid:
+        time.sleep(0.1 * (5 - value))
+        if value == 3:
+            raise RuntimeError("fails in a worker")
+    METRICS.observe("order", float(value))
+    METRICS.set_gauge("last", float(value))
+    return value
+
+
+def test_map_replays_each_task_in_its_slot(monkeypatch):
+    """Worker metrics come home in task order, not completion order, and
+    a task that fell back runs between its neighbours' replays."""
+    monkeypatch.setattr(METRICS, "_events", None)   # log off afterwards
+    METRICS.begin_event_log()
+    tasks = [(v, os.getpid()) for v in (1, 2, 3, 4)]
+    with WorkPool(2) as pool:
+        results = pool.map(observe_late, tasks)
+    assert results == [1, 2, 3, 4]
+    assert pool.last_failure_reasons[2][0] == "fault"
+    order = [value for kind, name, value in METRICS.raw_snapshot()["events"]
+             if name == "order"]
+    assert order == [1.0, 2.0, 3.0, 4.0]
+    assert METRICS.gauge("last") == 4.0
+    _assert_no_orphans()
+
+
+def read_context(_task):
+    return worker_context()
+
+
+def test_every_worker_boots_with_the_pool_context():
+    with WorkPool(2, context={"engine": "e"}) as pool:
+        assert pool.map(read_context, [0, 1, 2]) == [{"engine": "e"}] * 3
+    _assert_no_orphans()
+
+
 def test_shutdown_reaps_workers_even_after_a_kill():
     pool = WorkPool(2, policy=FabricPolicy(pool_rebuilds=0))
-    pool.map(kill_all, [1, 2])
+    pool.map(kill_all, [1, 2], fallback=_left)
     pool.shutdown()
     _assert_no_orphans()
 
@@ -104,7 +151,7 @@ def test_shutdown_reaps_workers_even_after_a_kill():
 # ----------------------------------------------------------------------
 def test_poison_task_is_quarantined_and_innocents_survive():
     with WorkPool(2, policy=FabricPolicy(pool_rebuilds=3)) as pool:
-        results = pool.map(poison_three, [1, 2, 3, 4])
+        results = pool.map(poison_three, [1, 2, 3, 4], fallback=_left)
     # the poison task degrades to the caller; every innocent completes
     assert results[2] is None
     assert [results[0], results[1], results[3]] == [1, 4, 16]
@@ -119,8 +166,8 @@ def test_quarantine_persists_across_map_calls():
     with WorkPool(
         2, policy=FabricPolicy(pool_rebuilds=3, quarantine_after=1)
     ) as pool:
-        first = pool.map(poison_three, [1, 2, 3, 4])
-        second = pool.map(poison_three, [1, 2, 3, 4])
+        first = pool.map(poison_three, [1, 2, 3, 4], fallback=_left)
+        second = pool.map(poison_three, [1, 2, 3, 4], fallback=_left)
     assert first[2] is None and second[2] is None
     assert second == [1, 4, None, 16]
     assert pool.health.quarantines == 1  # convicted exactly once
@@ -149,7 +196,8 @@ def test_break_with_two_started_tasks_convicts_only_the_culprit(tmp_path,
     with WorkPool(2, policy=policy) as pool:
         results = pool.map(poison_after_corunner,
                            [(v, marker) for v in (3, 4, 5, 6)],
-                           describe=lambda t: f"task {t[0]}")
+                           describe=lambda t: f"task {t[0]}",
+                           fallback=_left)
     assert results == [None, 16, 25, 36]
     assert pool.last_failure_reasons == {
         0: ("quarantine", "task broke the pool repeatedly; "
@@ -164,7 +212,7 @@ def test_break_with_two_started_tasks_convicts_only_the_culprit(tmp_path,
 
 def test_rebuild_budget_exhaustion_degrades_everything():
     with WorkPool(2, policy=FabricPolicy(pool_rebuilds=0)) as pool:
-        results = pool.map(kill_all, [1, 2, 3, 4])
+        results = pool.map(kill_all, [1, 2, 3, 4], fallback=_left)
     assert results == [None, None, None, None]
     assert pool.health.count("pool_lost") == 1
     assert pool.health.degraded_tasks == 4
@@ -199,10 +247,9 @@ def test_fork_while_another_thread_holds_an_obs_lock(owner):
     start = time.monotonic()
     try:
         with WorkPool(
-            1, initializer=init_worker, initargs=(False,),
-            policy=FabricPolicy(task_timeout=8.0, pool_rebuilds=0),
+            1, policy=FabricPolicy(task_timeout=8.0, pool_rebuilds=0),
         ) as pool:
-            result = pool.run_one(square, 3)
+            [result] = pool.map(square, [3], fallback=_left)
     finally:
         holder.join()
     assert forked.is_set()
@@ -225,12 +272,11 @@ def test_hung_workers_are_deadline_bounded():
     # without the deadline this would sit for 60s per hang; each expiry
     # kills the workers, so the stall is bounded by the budget per task
     assert elapsed < 30.0
-    assert results == [None, None]
     assert pool.health.timeouts >= 1
     assert all(code == "timeout"
                for code, _ in pool.last_failure_reasons.values())
-    # the degraded rerun contract: same fn, same payload, in-process
-    assert [hang_in_worker(t) for t in tasks] == [9, 25]
+    # the default fallback: same fn, same payload, in-process
+    assert results == [9, 25]
     _assert_no_orphans()
 
 
@@ -267,7 +313,7 @@ def test_exhausted_corrupt_retries_degrade_as_fault():
     chaos = FabricChaos(1.0, seed=0, modes=("corrupt",))
     with WorkPool(2, chaos=chaos,
                   policy=FabricPolicy(task_retries=0)) as pool:
-        results = pool.map(square, [7])
+        results = pool.map(square, [7], fallback=_left)
     # with a zero retry budget the corrupt submission degrades straight
     # to the caller instead of looping
     assert results == [None]
@@ -291,15 +337,14 @@ def test_chaotic_flow_matches_fault_free_serial():
     source = Point(side / 2, side / 2)
 
     serial_engine = HierarchicalCTS(
-        tech=tech, config=FlowConfig(sa_iterations=30, jobs=1)
+        tech=tech, config=FlowConfig(sa_iterations=30), jobs=1
     )
     serial = serial_engine.run(list(sinks), source)
 
     chaos = FabricChaos(0.5, seed=2, delay_s=0.01)
     chaotic_engine = HierarchicalCTS(
-        tech=tech,
-        config=FlowConfig(sa_iterations=30, jobs=2, pool_rebuilds=4),
-        fabric_chaos=chaos,
+        tech=tech, config=FlowConfig(sa_iterations=30), jobs=2,
+        policy=FabricPolicy(pool_rebuilds=4), fabric_chaos=chaos,
     )
     chaotic = chaotic_engine.run(list(sinks), source)
 

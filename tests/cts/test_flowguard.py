@@ -345,7 +345,7 @@ def test_flow_logs_one_degradation_summary_per_level(caplog, monkeypatch):
     monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     flow = HierarchicalCTS(
         tech=Technology(), constraints=Constraints(max_cap=12.0),
-        config=FlowConfig(sa_iterations=20, jobs=1),
+        config=FlowConfig(sa_iterations=20), jobs=1,
     )
     with caplog.at_level(logging.DEBUG, logger="repro"):
         result = flow.run(make_sinks(300, seed=1), Point(60, 60))

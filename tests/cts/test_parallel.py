@@ -8,6 +8,7 @@ serial ``jobs=1`` flow — and a failing worker degrades per cluster
 instead of aborting the run.
 """
 
+import os
 import pickle
 
 import pytest
@@ -19,15 +20,10 @@ import repro.parallel
 from repro.core.cbs import cbs
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.cts.evaluation import evaluate_result
-from repro.cts.framework import pool_pays
+from repro.cts.framework import ClusterTask, pool_pays
 from repro.geometry import Point
 from repro.obs import METRICS, TRACER, capture
-from repro.parallel import (
-    ClusterTask,
-    ParallelRouter,
-    resolve_jobs,
-    usable_cpus,
-)
+from repro.parallel import WorkPool, resolve_jobs, usable_cpus
 from repro.perf import make_uniform_sinks
 from repro.tech import Technology
 from repro.timing.elmore import ElmoreAnalyzer
@@ -37,8 +33,8 @@ def run_flow(n, seed=0, jobs=1, sa_iterations=50):
     tech = Technology()
     sinks, side = make_uniform_sinks(n, seed)
     engine = HierarchicalCTS(
-        tech=tech,
-        config=FlowConfig(sa_iterations=sa_iterations, jobs=jobs),
+        tech=tech, config=FlowConfig(sa_iterations=sa_iterations),
+        jobs=jobs,
     )
     result = engine.run(sinks, Point(side / 2, side / 2))
     return result, tech
@@ -78,7 +74,7 @@ def test_parallel_metrics_snapshot_matches_serial():
     snapshots = []
     for jobs in (1, 4):
         engine = HierarchicalCTS(
-            tech=tech, config=FlowConfig(sa_iterations=50, jobs=jobs)
+            tech=tech, config=FlowConfig(sa_iterations=50), jobs=jobs
         )
         METRICS.reset()
         engine.run(list(sinks), source)
@@ -104,7 +100,7 @@ def test_worker_spans_adopted_under_level_span():
     tech = Technology()
     sinks, side = make_uniform_sinks(300, 0)
     engine = HierarchicalCTS(
-        tech=tech, config=FlowConfig(sa_iterations=50, jobs=4)
+        tech=tech, config=FlowConfig(sa_iterations=50), jobs=4
     )
     with capture(TRACER):
         engine.run(sinks, Point(side / 2, side / 2))
@@ -130,10 +126,8 @@ def test_worker_spans_adopted_under_level_span():
 # Degradation
 # ----------------------------------------------------------------------
 def test_dead_pool_degrades_to_serial_with_fault_events(monkeypatch):
-    monkeypatch.setattr(
-        ParallelRouter, "route_clusters",
-        lambda self, tasks: [None] * len(tasks),
-    )
+    # no process pool can be built: every task falls off the ladder
+    monkeypatch.setattr(WorkPool, "_ensure_executor", lambda self: None)
     serial, tech = run_flow(200, 0, jobs=1)
     degraded, _ = run_flow(200, 0, jobs=2)
     assert quality(serial, tech) == quality(degraded, tech)
@@ -142,6 +136,41 @@ def test_dead_pool_degrades_to_serial_with_fault_events(monkeypatch):
         "parallel worker failed" in e.detail for e in faults
     )
     assert serial.diagnostics.count("fault") == 0
+
+
+_TEST_PID = os.getpid()
+_route_in_worker = framework._route_in_worker
+
+
+def _fail_l0_c2_in_workers(task):
+    """Cluster routing whose worker run of net L0_c2 fails."""
+    if task.name == "L0_c2" and os.getpid() != _TEST_PID:
+        raise RuntimeError("injected worker failure")
+    return _route_in_worker(task)
+
+
+def test_degraded_cluster_routes_in_its_slot(monkeypatch):
+    """A cluster whose worker failed is routed in the parent in its own
+    slot: its metric updates land where the serial run puts them,
+    between its siblings' replayed ones, not after the level."""
+    monkeypatch.setattr(METRICS, "_events", None)   # log off afterwards
+
+    def flow(jobs):
+        METRICS.begin_event_log()
+        result, _tech = run_flow(200, 0, jobs=jobs)
+        log = [e for e in METRICS.raw_snapshot()["events"]
+               if not e[1].startswith("fabric.")]
+        return result, log
+
+    serial, serial_log = flow(1)
+    monkeypatch.setattr(framework, "_route_in_worker",
+                        _fail_l0_c2_in_workers)
+    pooled, pooled_log = flow(2)
+    assert serial.levels[0].num_clusters > 3
+    assert pooled_log == serial_log
+    faults = pooled.diagnostics.events_of("fault")
+    assert [e.net for e in faults] == ["L0_c2"]
+    assert "injected worker failure" in faults[0].detail
 
 
 def test_jobs_zero_resolves_to_cpu_count():
@@ -167,7 +196,7 @@ def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
 
 def test_cluster_task_is_picklable():
     sinks, _side = make_uniform_sinks(5, 0)
-    task = ClusterTask(index=2, name="L0_c2", level=0,
+    task = ClusterTask(name="L0_c2", level=0,
                        sinks=tuple(sinks), center=Point(1.0, 2.0))
     clone = pickle.loads(pickle.dumps(task))
     assert clone == task
@@ -181,24 +210,24 @@ def _spy_pools(monkeypatch, cpus):
     the cluster sizes of every level it sends through one."""
     monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: cpus)
     seen = {"built": 0, "levels": []}
-    real_route = ParallelRouter.route_clusters
+    real_map = WorkPool.map
 
     def build(*args, **kwargs):
         seen["built"] += 1
-        return ParallelRouter(*args, **kwargs)
+        return WorkPool(*args, **kwargs)
 
-    def route(self, tasks):
+    def route(self, fn, tasks, **kwargs):
         seen["levels"].append([len(t.sinks) for t in tasks])
-        return real_route(self, tasks)
+        return real_map(self, fn, tasks, **kwargs)
 
-    monkeypatch.setattr(framework, "ParallelRouter", build)
-    monkeypatch.setattr(ParallelRouter, "route_clusters", route)
+    monkeypatch.setattr(framework, "WorkPool", build)
+    monkeypatch.setattr(WorkPool, "map", route)
     return seen
 
 
 def _task(index, sinks):
     points, _side = make_uniform_sinks(sinks, index)
-    return ClusterTask(index=index, name=f"L0_c{index}", level=0,
+    return ClusterTask(name=f"L0_c{index}", level=0,
                        sinks=tuple(points), center=Point(0.0, 0.0))
 
 
@@ -220,10 +249,10 @@ def test_auto_pools_the_paying_levels_and_matches_serial(monkeypatch):
     sinks, side = make_uniform_sinks(2000, 0)
     source = Point(side / 2, side / 2)
     runs = []
-    for config in (FlowConfig(jobs=1), FlowConfig()):
+    for jobs in (1, 0):
         METRICS.reset()
         with capture(TRACER):
-            result = HierarchicalCTS(tech=tech, config=config).run(
+            result = HierarchicalCTS(tech=tech, jobs=jobs).run(
                 list(sinks), source)
             roots = list(TRACER.roots)
         runs.append((result, METRICS.as_dict(precision=None), roots))
@@ -258,9 +287,8 @@ def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
     source = Point(side / 2, side / 2)
 
     def run(jobs):
-        config = FlowConfig(use_sa=False, jobs=jobs)
-        return HierarchicalCTS(tech=tech, config=config).run(
-            list(sinks), source)
+        return HierarchicalCTS(tech=tech, config=FlowConfig(use_sa=False),
+                               jobs=jobs).run(list(sinks), source)
 
     auto, serial = run(0), run(1)
     assert auto.levels
@@ -290,9 +318,8 @@ def test_auto_builds_no_pool_where_it_cannot_pay(monkeypatch, case):
     auto = HierarchicalCTS(tech=tech, config=config,
                            analyzer=analyzer).run(list(sinks), source)
     auto_calls = len(calls)
-    config.jobs = 1
-    serial = HierarchicalCTS(tech=tech, config=config,
-                             analyzer=analyzer).run(list(sinks), source)
+    serial = HierarchicalCTS(tech=tech, config=config, analyzer=analyzer,
+                             jobs=1).run(list(sinks), source)
     assert seen["built"] == 0
     assert quality(auto, tech) == quality(serial, tech)
     assert event_multiset(auto) == event_multiset(serial)

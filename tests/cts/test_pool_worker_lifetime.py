@@ -26,7 +26,7 @@ pytestmark = pytest.mark.skipif(not os.path.isdir("/proc"),
 # one-worker pool forked from an ``asyncio.to_thread`` thread
 ASYNC_PARENT = """
 import asyncio, signal
-from repro.parallel import WorkPool, init_worker
+from repro.parallel import WorkPool
 
 def square(x):
     return x * x
@@ -35,23 +35,24 @@ async def main():
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, print, f"parent got {sig.name}")
-    pool = WorkPool(1, initializer=init_worker, initargs=(False,))
-    assert await asyncio.to_thread(pool.run_one, square, 3) == 9
+    pool = WorkPool(1)
+    assert await asyncio.to_thread(pool.map, square, [3]) == [9]
     print("ready")
     await asyncio.sleep(60)
 
 asyncio.run(main())
 """
 
-# the flow and sweep shape: a plain 2-worker pool
+# a plain 2-worker pool: the flow's carries its engine as the context,
+# ``repro fit``'s none
 PLAIN_PARENT = """
 import time
-from repro.parallel import WorkPool, init_worker
+from repro.parallel import WorkPool
 
 def square(x):
     return x * x
 
-pool = WorkPool(2, initializer=init_worker, initargs=(False,))
+pool = WorkPool(2{context})
 assert pool.map(square, [1, 2]) == [1, 4]
 print("ready")
 time.sleep(60)
@@ -123,8 +124,10 @@ def test_worker_under_asyncio_handlers_dies_by_signal(signum):
     assert "parent got" not in out
 
 
-def test_workers_exit_when_their_parent_is_killed():
-    proc = _start(PLAIN_PARENT)
+def _workers_outlive_a_killed_parent(script: str) -> list[int]:
+    """Start ``script``, SIGKILL it, and return its workers still
+    running 5 s later."""
+    proc = _start(script)
     workers = _children(proc.pid)
     try:
         assert workers
@@ -133,4 +136,17 @@ def test_workers_exit_when_their_parent_is_killed():
         survivors = _wait_ended(workers, within=5.0)
     finally:
         _stop(proc, workers)
-    assert not survivors, "workers outlived their SIGKILLed parent"
+    return survivors
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    script = PLAIN_PARENT.format(context=", context={'engine': 1}")
+    assert not _workers_outlive_a_killed_parent(script), \
+        "workers outlived their SIGKILLed parent"
+
+
+def test_context_free_pool_workers_exit_when_their_parent_is_killed():
+    # ``repro fit --jobs N`` builds its pool with no context
+    script = PLAIN_PARENT.format(context="")
+    assert not _workers_outlive_a_killed_parent(script), \
+        "workers outlived their SIGKILLed parent"

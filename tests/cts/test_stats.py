@@ -9,6 +9,7 @@ from repro.cts.stats import tree_statistics
 from repro.geometry import Point
 from repro.netlist import RoutedTree, Sink
 from repro.tech import Technology, default_library
+from repro.timing.elmore import ElmoreAnalyzer
 
 
 def small_buffered_tree():
@@ -76,3 +77,7 @@ def test_full_flow_stats_consistency():
     # sizing headroom policy
     assert stats.max_stage_load <= TABLE5.max_cap * 1.5
     assert stats.max_fanout <= TABLE5.max_fanout + 1
+    # the stage loads are the analyzer's, bit for bit: one walk serves
+    # both
+    report = ElmoreAnalyzer(tech).analyze(result.tree)
+    assert stats.stage_loads == report.stage_load

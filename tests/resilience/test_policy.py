@@ -1,4 +1,4 @@
-"""FabricPolicy validation and the deterministic backoff schedule."""
+"""FabricPolicy defaults and validation."""
 
 import pytest
 
@@ -11,7 +11,6 @@ def test_defaults_are_valid_and_deadline_free():
     assert policy.task_retries == 1
     assert policy.pool_rebuilds == 2
     assert policy.quarantine_after == 2
-    assert policy.backoff(1) == 0.0  # base 0 = immediate retries
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -20,43 +19,7 @@ def test_defaults_are_valid_and_deadline_free():
     {"pool_rebuilds": -1},
     {"quarantine_after": 0},
     {"shutdown_grace": -0.5},
-    {"backoff_base": -0.1},
-    {"backoff_factor": 0.5},
-    {"backoff_cap": -1.0},
 ])
 def test_invalid_budgets_rejected(kwargs):
     with pytest.raises(ValueError):
         FabricPolicy(**kwargs)
-
-
-def test_backoff_is_a_pure_function_of_the_attempt_count():
-    policy = FabricPolicy(backoff_base=0.1, backoff_factor=2.0,
-                          backoff_cap=0.35)
-    schedule = [policy.backoff(r) for r in range(1, 5)]
-    assert schedule == [0.1, 0.2, 0.35, 0.35]  # capped, no jitter
-    # identical policies produce identical schedules — nothing
-    # wall-clock-dependent can leak into retry behaviour
-    clone = FabricPolicy(backoff_base=0.1, backoff_factor=2.0,
-                         backoff_cap=0.35)
-    assert [clone.backoff(r) for r in range(1, 5)] == schedule
-    assert policy.backoff(0) == 0.0
-
-
-def test_from_flow_config_reads_the_fabric_fields():
-    from repro.cts.framework import FlowConfig
-
-    config = FlowConfig(task_timeout=3.5, task_retries=2, pool_rebuilds=0)
-    policy = FabricPolicy.from_flow_config(config)
-    assert policy.task_timeout == 3.5
-    assert policy.task_retries == 2
-    assert policy.pool_rebuilds == 0
-
-
-def test_from_flow_config_validates():
-    class Bad:
-        task_timeout = -2.0
-        task_retries = 1
-        pool_rebuilds = 1
-
-    with pytest.raises(ValueError):
-        FabricPolicy.from_flow_config(Bad())

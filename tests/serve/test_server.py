@@ -158,10 +158,10 @@ def test_served_miss_runs_a_serial_flow(tmp_path, monkeypatch, jobs):
     import repro.parallel
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a served miss built a ParallelRouter")
+        raise AssertionError("a served miss built a cluster pool")
 
     monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(framework, "ParallelRouter", no_pool)
+    monkeypatch.setattr(framework, "WorkPool", no_pool)
 
     async def scenario():
         service = CTSService(SweepStore(tmp_path), jobs=jobs, queue_depth=4)
@@ -176,8 +176,14 @@ def test_served_miss_runs_a_serial_flow(tmp_path, monkeypatch, jobs):
     assert result.record["status"] == "ok", result.record["error"]
 
 
+_SERVER_PID = os.getpid()
+
+
 def _raise_in_process(task):
-    raise AssertionError("the miss ran in the serving process")
+    """``compute_record`` that refuses to run in the serving process."""
+    if os.getpid() == _SERVER_PID:
+        raise AssertionError("the miss ran in the serving process")
+    return repro.sweep.runner.compute_record(task)
 
 
 def test_serve_jobs_default_is_auto():
@@ -244,19 +250,23 @@ def test_auto_jobs_runs_in_process_on_one_cpu(tmp_path, monkeypatch):
     assert flow.calls == 1
 
 
+_STARTS = None     # where _blocking_flow logs its starts
+
+
+def _blocking_flow(task):       # runs in the forked worker
+    with open(_STARTS, "a") as fh:
+        fh.write("started\n")
+    time.sleep(20.0)
+    raise AssertionError("the blocked flow was never stopped")
+
+
 def test_aclose_during_a_pooled_miss_stops_it_once(tmp_path, monkeypatch):
     """Stopping the server mid-miss terminates the worker and returns:
     the shut-down pool must not read its own kill as a pool break and
     re-run the flow on a rebuilt pool that nothing will stop."""
     starts = tmp_path / "starts"
-
-    def blocking_flow(task):       # runs in the forked worker
-        with open(starts, "a") as fh:
-            fh.write("started\n")
-        time.sleep(20.0)
-        raise AssertionError("the blocked flow was never stopped")
-
-    monkeypatch.setattr(repro.sweep.runner, "compute_record", blocking_flow)
+    monkeypatch.setattr(sys.modules[__name__], "_STARTS", str(starts))
+    monkeypatch.setattr(service_mod, "compute_record", _blocking_flow)
     grace = 0.5
     timing = {}
 
@@ -575,6 +585,23 @@ def test_http_error_statuses(tmp_path, monkeypatch):
         got_status, raw = results[name]
         assert got_status == status, name
         assert json.loads(raw)["error"]["type"] == type_, name
+
+
+def test_http_execution_knobs_are_rejected(tmp_path, monkeypatch):
+    """A served miss always runs a serial flow, so a request naming an
+    execution setting is an error, not a silently ignored knob."""
+    flow = FakeFlow()
+
+    async def scenario(server):
+        return await _post(server.host, server.port,
+                           _payload(config={"jobs": 2}))
+
+    status, raw = _serve(tmp_path, scenario, monkeypatch, flow)
+    assert status == 400
+    error = json.loads(raw)["error"]
+    assert error["type"] == "RequestError"
+    assert "jobs" in error["detail"]
+    assert flow.calls == 0
 
 
 def test_http_healthz_and_metrics(tmp_path, monkeypatch):

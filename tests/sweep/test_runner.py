@@ -14,10 +14,10 @@ import logging
 import pytest
 
 import repro.parallel
+import repro.sweep.runner
 from repro.obs.metrics import METRICS
+from repro.resilience import FabricChaos, FabricPolicy
 from repro.sweep import SweepSpec, SweepStore, pareto_front, run_sweep
-from repro.sweep.runner import PointTask, _clamp_point_jobs
-from repro.sweep.spec import SweepPoint
 
 
 def _spec() -> SweepSpec:
@@ -223,7 +223,7 @@ def test_fabric_chaos_leaves_records_byte_identical(tmp_path):
     # determinism), so the retry and resurrection rungs both fire
     chaotic = run_sweep(
         _spec(), SweepStore(tmp_path / "chaos"), jobs=2,
-        fabric_fault_rate=0.5, fabric_fault_seed=7, pool_rebuilds=4,
+        policy=FabricPolicy(pool_rebuilds=4), chaos=FabricChaos(0.5, seed=7),
     )
     assert not chaotic.health.healthy, "chaos never fired; test is vacuous"
     assert chaotic.health.retries >= 1
@@ -235,7 +235,7 @@ def test_fabric_chaos_leaves_records_byte_identical(tmp_path):
 def test_health_sidecar_is_written_next_to_the_jsonl(tmp_path):
     report = run_sweep(
         _spec(), SweepStore(tmp_path), jobs=2,
-        fabric_fault_rate=0.5, fabric_fault_seed=7, pool_rebuilds=4,
+        policy=FabricPolicy(pool_rebuilds=4), chaos=FabricChaos(0.5, seed=7),
     )
     assert report.health_path is not None
     assert report.health_path.parent == report.jsonl_path.parent
@@ -248,59 +248,46 @@ def test_health_sidecar_is_written_next_to_the_jsonl(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Oversubscription clamp
+# Flow workers per point: the CPU share
 # ----------------------------------------------------------------------
-def _point_task(index, jobs):
-    point = SweepPoint(
-        index=index, design="s38584", scale=0.02,
-        overrides=(("jobs", jobs),), skew_bound=25.0, library="default",
-    )
-    return PointTask(point=point, fingerprint="f" * 8, key=f"k{index}")
+def _spy_flow_jobs(monkeypatch):
+    """Run pooled sweeps in-process; returns the list each point's flow
+    worker count is appended to."""
+    seen = []
+    real = repro.sweep.runner.compute_record
+
+    def spy(task):
+        seen.append(task.flow_jobs)
+        return real(task)
+
+    monkeypatch.setattr(repro.sweep.runner, "compute_record", spy)
+    monkeypatch.setattr(repro.parallel.WorkPool, "map",
+                        lambda self, fn, tasks, **kw: [fn(t) for t in tasks])
+    return seen
 
 
-def test_clamp_caps_the_job_product(monkeypatch):
-    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 4)
-    tasks = [_point_task(0, jobs=4), _point_task(1, jobs=2),
-             _point_task(2, jobs=1)]
-    clamped = _clamp_point_jobs(tasks, jobs=2)  # budget 4 // 2 = 2 each
-    assert [t.effective_jobs for t in clamped] == [2, None, None]
-    assert METRICS.counter("sweep.jobs.clamped") == 1
-    # jobs=0 ("auto") points resolve to the whole machine and clamp too
-    auto = _clamp_point_jobs([_point_task(3, jobs=0)], jobs=2)
-    assert auto[0].effective_jobs == 2
+def test_clamp_caps_the_job_product(tmp_path, monkeypatch):
+    """A pooled sweep gives each point's flow its share of the usable
+    CPUs, so sweep workers x flow workers stays within them; a serial
+    sweep leaves each flow on auto."""
+    seen = _spy_flow_jobs(monkeypatch)
+    for cpus, jobs, share in ((4, 2, 2), (2, 2, 1), (2, 8, 1), (4, 0, 1)):
+        monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: cpus)
+        seen.clear()
+        run_sweep(_spec(), SweepStore(tmp_path / f"{cpus}-{jobs}"),
+                  jobs=jobs)
+        assert seen == [share] * 4, (cpus, jobs)
+    seen.clear()
+    run_sweep(_spec(), SweepStore(tmp_path / "serial"), jobs=1)
+    assert seen == [0] * 4
 
 
 def test_default_config_pooled_sweep_clamps_silently(
         tmp_path, monkeypatch, caplog):
-    # default points are auto: they take the allowed share (here 1, a
-    # serial flow per point) without counting or warning
+    # on 2 CPUs under sweep jobs=2 each point runs a serial flow, with
+    # no warning about it
     monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
-    tasks = _clamp_point_jobs([_point_task(0, jobs=0)], jobs=2)
-    assert tasks[0].effective_jobs == 1
-    with caplog.at_level(logging.WARNING, logger="repro.sweep"):
+    with caplog.at_level(logging.WARNING, logger="repro"):
         report = run_sweep(_spec(), SweepStore(tmp_path), jobs=2)
     assert report.failed == 0 and report.executed == 4
-    assert METRICS.counter("sweep.jobs.clamped") == 0
-    assert not [r for r in caplog.records
-                if "oversubscription" in r.getMessage()]
-
-
-def test_oversubscribed_sweep_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
-    spec = SweepSpec(
-        name="unit-jobs",
-        designs=["s38584"],
-        scales=[0.02],
-        grid={"jobs": [4], "eps": [0.1, 1.0]},
-    )
-    serial = run_sweep(spec, SweepStore(tmp_path / "serial"), jobs=1)
-    pooled = run_sweep(spec, SweepStore(tmp_path / "pooled"), jobs=2)
-    # every pooled point asked for 4 flow workers on a 2-CPU budget
-    # under sweep jobs=2 -> clamped to 1; records must not notice
-    assert METRICS.counter("sweep.jobs.clamped") == 2
-    assert serial.jsonl_path.read_bytes() == pooled.jsonl_path.read_bytes()
-    assert _store_bytes(tmp_path / "serial") == _store_bytes(
-        tmp_path / "pooled")
-    # jobs is execution-only: both grid values collapse onto canonical
-    # configs without a "jobs" key
-    assert all("jobs" not in r["config"]["flow"] for r in pooled.records)
+    assert not caplog.records

@@ -44,6 +44,17 @@ def test_empty_grid_yields_default_point():
     assert points[0].library == "default"
 
 
+@pytest.mark.parametrize("name", ["jobs", "task_timeout", "task_retries",
+                                  "pool_rebuilds"])
+def test_execution_settings_are_not_sweepable(name):
+    # they never changed a record, and dedup ran only the first value
+    assert name not in sweepable_keys()
+    with pytest.raises(ValueError, match="unknown sweep knob"):
+        SweepSpec(designs=["s38584"], grid={name: [1, 2]})
+    with pytest.raises(ValueError, match="unknown knob"):
+        SweepSpec(designs=["s38584"], points=[{name: 2}])
+
+
 def test_engine_knobs_are_sweepable():
     assert "skew_bound" in sweepable_keys()
     assert "library" in sweepable_keys()

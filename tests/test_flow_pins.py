@@ -58,7 +58,7 @@ def test_flow_matches_pin(pin, jobs):
     tech = Technology()
     sinks, side = make_uniform_sinks(n, PINS["seed"])
     engine = HierarchicalCTS(tech=tech, config=FlowConfig(
-        sa_iterations=PINS["sa_iterations"], jobs=jobs))
+        sa_iterations=PINS["sa_iterations"]), jobs=jobs)
     start = now()
     result = engine.run(sinks, Point(side / 2, side / 2))
     wall_s = now() - start
