@@ -1,5 +1,5 @@
-"""Microbench: CBS construction, ``refine`` and Elmore analysis at the
-flow's net sizes.
+"""Microbench: CBS construction, ``refine``, Elmore analysis and SA
+partition refinement at the flow's sizes.
 
 The hierarchical flow routes nets of at most ``max_fanout`` = 32 sinks,
 so its per-net kernels only ever see trees of a few dozen nodes.  This
@@ -11,7 +11,11 @@ traced benchmark's ``core.cbs_calls.le8/le16/le32`` buckets:
 * ``refine`` on every tree CBS hands it (the Step 2 skeleton and the
   Step 3 SALT tree), each on a fresh copy;
 * ``ElmoreAnalyzer.analyze`` on each routed net with its root driver
-  placed, as the flow analyzes it.
+  placed, as the flow analyzes it;
+* ``anneal_partition`` (paper Fig. 4, the flow's 200 iterations) on
+  the level-0 partitions the flow hands it: 4 and 8 nets of about 32
+  sinks (``s38584`` and ``salsa20`` at scale 0.1, the shape of a
+  ``sweep_cold`` point) and ethernet's 313 nets (10,015 sinks).
 
 A batched arm of either kernel has to win here, and in the flow, before
 it replaces the scalar one.  Run with::
@@ -26,7 +30,11 @@ import pytest
 
 from repro.buffering import place_driver
 from repro.core import cbs
+from repro.cts import FlowConfig, HierarchicalCTS
+from repro.designs import load_design
 from repro.dme import ElmoreDelay
+from repro.flowguard.diagnostics import FlowDiagnostics
+from repro.partition import anneal_partition
 from repro.salt import refine
 from repro.tech import Technology, default_library
 from repro.timing import ElmoreAnalyzer
@@ -94,3 +102,22 @@ def test_analyze_cbs_nets(benchmark, cbs_nets):
     reports = benchmark(lambda: [analyzer.analyze(t) for t in routed])
     assert len(reports) == NETS_PER_SIZE
     assert all(r.skew >= 0.0 for r in reports)
+
+
+@pytest.fixture(scope="module",
+                params=(("s38584", 0.1), ("salsa20", 0.1), ("ethernet", 1.0)),
+                ids=lambda p: f"{p[0]}@{p[1]}")
+def sa_partition(request):
+    """A design's level-0 clusters before SA, and the flow's SA config."""
+    design = load_design(request.param[0], scale=request.param[1])
+    flow = HierarchicalCTS(config=FlowConfig(use_sa=False), jobs=1)
+    clusters, _, _ = flow._partition(design.sinks, 0, FlowDiagnostics())
+    return clusters, flow._sa_config(0)
+
+
+def test_anneal_partition(benchmark, sa_partition):
+    clusters, cfg = sa_partition
+    refined, trace = benchmark.pedantic(
+        anneal_partition, args=(clusters, cfg), rounds=10, iterations=1)
+    assert len(trace) == cfg.iterations + 1 == 201
+    assert sum(c.size for c in refined) == sum(c.size for c in clusters)

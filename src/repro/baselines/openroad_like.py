@@ -33,6 +33,7 @@ from repro.partition.kmeans import balanced_kmeans
 from repro.rsmt.flute_like import rsmt
 from repro.tech.buffer_library import BufferLibrary, default_library
 from repro.tech.technology import Technology
+from repro.timing.elmore import downstream_stage_cap
 
 #: Drive safety factor: pick the buffer as if the load were this much
 #: bigger — the "larger buffers" signature.
@@ -122,6 +123,10 @@ def openroad_like_cts(
         max_net_cap=max(
             _subtree_cap(subtrees[t.name], subtrees[t.name].root, tech)
             for t in taps
+        ),
+        max_routed_cap=max(
+            downstream_stage_cap(tree, tech)[tree.root]
+            for tree in subtrees.values()
         ),
         max_net_fanout=max(len(g) for g in groups.values()),
         buffers_added=len(full.buffer_node_ids()),

@@ -3,8 +3,9 @@
 ``HierarchicalCTS.run(sinks, source)`` drives levels bottom-up:
 
 1. **Partition** — balanced K-means with capacity = max_fanout (splitting
-   further while any cluster violates the cap constraint), optionally
-   refined by the Fig. 4 simulated annealing;
+   further while any cluster violates the cap constraint; a level of
+   several spatial blocks k-means them in the run's worker pool),
+   optionally refined by the Fig. 4 simulated annealing;
 2. **Routing topology generation** — one net per cluster, rooted at the
    cluster tap, routed by CBS (default; pluggable to plain BST / SALT /
    RSMT for the Section 3.3 trade-offs);
@@ -32,6 +33,7 @@ empty-input ``ValueError``; everything else degrades and reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -185,7 +187,10 @@ class LevelStats:
     num_clusters: int
     sa_cost_before: float
     sa_cost_after: float
-    max_net_cap: float
+    max_net_cap: float         # fF, largest cluster cap estimate (HPWL)
+    # fF, largest driver-stage load among the level's routed nets (a
+    # net whose timing analysis degraded counts 0.0)
+    max_routed_cap: float
     max_net_fanout: int
     buffers_added: int
 
@@ -221,12 +226,15 @@ class ClusterOutcome:
     tree: RoutedTree           # routed + buffered + repaired net tree
     buffers: int               # buffers added on this net (incl. driver)
     diagnostics: FlowDiagnostics  # task-local events + stage times
+    routed_cap: float          # fF driven by the root driver (0.0 if
+                               # the net's timing analysis degraded)
 
 
 class HierarchicalCTS:
     """The paper's hierarchical CTS engine.
 
-    ``jobs`` sets the worker processes for per-cluster routing: 0 or
+    ``jobs`` sets the worker processes for per-cluster routing (and a
+    large level's spatial-block k-means): 0 or
     negative is auto (one per usable CPU; each level uses the pool only
     where the process hop pays), 1 the serial loop, and N > 1 a pool of
     N on every level.  ``policy`` budgets the pool's resilience ladder
@@ -297,10 +305,10 @@ class HierarchicalCTS:
                                     self._tech.unit_cap) > cons.max_cap):
                 mark = len(diag.events)
                 with TRACER.span("level", level=level, sinks=len(current)):
-                    clusters, sa_before, sa_after, next_sinks, \
-                        buffers_added = self._run_level(
-                            current, level, diag, subtrees, pool
-                        )
+                    clusters, sa_before, sa_after, outcomes = \
+                        self._run_level(current, level, diag, subtrees, pool)
+                next_sinks = [outcome.driver for outcome in outcomes]
+                buffers_added = sum(outcome.buffers for outcome in outcomes)
                 levels.append(LevelStats(
                     level=level,
                     num_sinks=len(current),
@@ -310,6 +318,10 @@ class HierarchicalCTS:
                     max_net_cap=max(
                         (cluster_cap(c, self._tech.unit_cap)
                          for c in clusters if c.sinks),
+                        default=0.0,
+                    ),
+                    max_routed_cap=max(
+                        (outcome.routed_cap for outcome in outcomes),
                         default=0.0,
                     ),
                     max_net_fanout=max(
@@ -382,17 +394,19 @@ class HierarchicalCTS:
         diag: FlowDiagnostics,
         subtrees: dict[str, RoutedTree],
         pool: WorkPool | None = None,
-    ) -> tuple[list[Cluster], float, float, list[Sink], int]:
+    ) -> tuple[list[Cluster], float, float, list[ClusterOutcome]]:
         """One bottom-up level: partition, then route/buffer each cluster.
 
-        With a ``pool``, the clusters route in its workers; under auto
-        (``jobs < 1``) only when :func:`pool_pays` for this level.
-        Either way the outcomes merge in cluster order.
+        With a ``pool``, a level of several spatial blocks k-means them
+        in its workers (SA then runs here, over the whole level), and
+        the clusters route in its workers; under auto (``jobs < 1``)
+        only when :func:`pool_pays` for this level.  Either way the
+        outcomes merge in cluster order.
         """
         cons = self._constraints
         with diag.timed("partition", level=level):
             clusters, sa_before, sa_after = self._partition(
-                current, level, diag
+                current, level, diag, pool
             )
             if len(clusters) >= len(current):
                 diag.record(
@@ -431,14 +445,10 @@ class HierarchicalCTS:
             )
         else:
             outcomes = [self._route_task(task) for task in tasks]
-        next_sinks: list[Sink] = []
-        buffers_added = 0
         for outcome in outcomes:
             diag.merge(outcome.diagnostics)
             subtrees[outcome.name] = outcome.tree
-            next_sinks.append(outcome.driver)
-            buffers_added += outcome.buffers
-        return clusters, sa_before, sa_after, next_sinks, buffers_added
+        return clusters, sa_before, sa_after, outcomes
 
     def _route_task(
         self, task: ClusterTask, diag: FlowDiagnostics | None = None
@@ -449,11 +459,12 @@ class HierarchicalCTS:
         chain = self.build_chain(diag)
         cluster = Cluster(list(task.sinks), task.center)
         with TRACER.span("cluster", net=task.name, sinks=cluster.size):
-            driver, tree, nbuf = self._route_cluster(
+            driver, tree, nbuf, routed_cap = self._route_cluster(
                 task.name, cluster, task.level, chain, diag
             )
         return ClusterOutcome(name=task.name, driver=driver, tree=tree,
-                              buffers=nbuf, diagnostics=diag)
+                              buffers=nbuf, diagnostics=diag,
+                              routed_cap=routed_cap)
 
     def _route_degraded(
         self, task: ClusterTask, code: str, detail: str
@@ -476,10 +487,11 @@ class HierarchicalCTS:
     # Stage 1: partition
     # ------------------------------------------------------------------
     def _partition(
-        self, sinks: list[Sink], level: int, diag: FlowDiagnostics
+        self, sinks: list[Sink], level: int, diag: FlowDiagnostics,
+        pool: WorkPool | None = None,
     ) -> tuple[list[Cluster], float, float]:
         try:
-            return self._partition_inner(sinks, level, diag)
+            return self._partition_inner(sinks, level, diag, pool)
         except Exception as exc:  # noqa: BLE001 — degrade, don't abort
             diag.record(
                 "partition", "downgrade", level=level,
@@ -492,11 +504,17 @@ class HierarchicalCTS:
             return clusters, 0.0, 0.0
 
     def _partition_inner(
-        self, sinks: list[Sink], level: int, diag: FlowDiagnostics
+        self, sinks: list[Sink], level: int, diag: FlowDiagnostics,
+        pool: WorkPool | None = None,
     ) -> tuple[list[Cluster], float, float]:
         cons = self._constraints
         cfg = self._config
-        partition_fn = cfg.partitioner or balanced_kmeans
+        if cfg.partitioner is not None:
+            partition_fn = cfg.partitioner
+        else:
+            partition_fn = functools.partial(
+                balanced_kmeans, mapper=_block_mapper(pool, level)
+            )
         points = [s.location for s in sinks]
         max_size = cons.max_fanout
         # split further while the densest cluster overruns the cap budget
@@ -595,7 +613,7 @@ class HierarchicalCTS:
         level: int,
         chain: RouterFallbackChain,
         diag: FlowDiagnostics,
-    ) -> tuple[Sink, RoutedTree, int]:
+    ) -> tuple[Sink, RoutedTree, int, float]:
         cfg = self._config
         tap = manhattan_center([s.location for s in cluster.sinks])
         net = ClockNet(name, tap, cluster.sinks)
@@ -610,14 +628,16 @@ class HierarchicalCTS:
                 level=level, net=name, source_slew=cfg.source_slew,
             )
         driver = tree.node(tree.root).buffer  # repair may have re-sized it
-        subtree_delay = self._subtree_delay(tree, level, name, diag)
+        subtree_delay, routed_cap = self._subtree_delay(
+            tree, level, name, diag
+        )
         driver_sink = Sink(
             name=name,
             location=tap,
             cap=driver.input_cap,
             subtree_delay=subtree_delay,
         )
-        return driver_sink, tree, nbuf
+        return driver_sink, tree, nbuf, routed_cap
 
     def _buffer_tree(
         self, tree: RoutedTree, level: int, name: str, diag: FlowDiagnostics
@@ -651,10 +671,11 @@ class HierarchicalCTS:
 
     def _subtree_delay(
         self, tree: RoutedTree, level: int, name: str, diag: FlowDiagnostics
-    ) -> float:
-        """Eq. (7) insertion estimate (or exact Eq. (6) latency), guarded:
-        an analyzer failure degrades to a zero estimate rather than
-        aborting the run."""
+    ) -> tuple[float, float]:
+        """Eq. (7) insertion estimate (or exact Eq. (6) latency) and the
+        root driver's stage load, from one analysis, guarded: an
+        analyzer failure degrades to a zero estimate and a zero load
+        rather than aborting the run."""
         cfg = self._config
         try:
             with diag.timed("analyze", level=level, net=name):
@@ -664,23 +685,23 @@ class HierarchicalCTS:
                     METRICS.observe(
                         "cts.cluster_skew_ps", max(arrivals) - min(arrivals)
                     )
+                load = report.stage_load.get(tree.root, 0.0)
                 if not cfg.use_insertion_estimate:
-                    return report.latency
+                    return report.latency, load
                 # Eq. (7): provisional delay charged before upstream
                 # merging — latency below the driver plus the
                 # conservative driver bound
-                load = report.stage_load.get(tree.root, 0.0)
                 below = max(
                     report.sink_arrival.values()
                 ) - self._driver_delay_in_report(tree, report)
-                return below + insertion_delay_estimate(self._lib, load)
+                return below + insertion_delay_estimate(self._lib, load), load
         except Exception as exc:  # noqa: BLE001
             diag.record(
                 "analyze", "downgrade", level=level, net=name,
                 detail=f"timing analysis failed ({exc}); "
                        f"zero insertion estimate",
             )
-            return 0.0
+            return 0.0, 0.0
 
     def _driver_delay_in_report(self, tree: RoutedTree, report) -> float:
         """Delay contributed by the root driver inside an analysis report."""
@@ -761,6 +782,25 @@ def _route_in_worker(task: ClusterTask) -> ClusterOutcome:
     """Route one cluster net in a pool worker, on the engine the pool
     was built with."""
     return worker_context()._route_task(task)
+
+
+def _block_mapper(pool: WorkPool | None, level: int):
+    """How ``balanced_kmeans`` solves one level's spatial blocks: in
+    ``pool`` when there are at least two, here otherwise.
+
+    The pool returns each block's outcome in block order and replays
+    its metrics (the assignment counters) in that order; a block the
+    pool gives back is solved here, in its slot.  Blocks are a function
+    of the placement and ``max_fanout`` alone, so a pooled level
+    partitions exactly as a serial one.
+    """
+    def mapper(fn, tasks):
+        tasks = list(tasks)
+        if pool is None or len(tasks) < 2:
+            return map(fn, tasks)
+        names = {id(task): f"L{level}_b{j}" for j, task in enumerate(tasks)}
+        return pool.map(fn, tasks, describe=lambda task: names[id(task)])
+    return mapper
 
 
 def pool_pays(tasks: list[ClusterTask], workers: int,

@@ -8,11 +8,39 @@ workhorse here.  The Manhattan diameter uses the rotated-space identity
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.geometry.point import Point, rotate45
 
 
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _hull_vertices(
+    pts: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Convex hull vertices of ``(x, y)`` tuples, counter-clockwise
+    (Andrew monotone chain)."""
+    unique = sorted(set(pts))
+    if len(unique) <= 2:
+        return unique
+    hull = _chain(unique)[:-1] + _chain(reversed(unique))[:-1]
+    if len(hull) < 2:  # all points collinear
+        return [unique[0], unique[-1]]
+    return hull
+
+
+def _chain(pts) -> list[tuple[float, float]]:
+    """One monotone chain: pop while the last turn is not a strict left
+    turn (cross product inlined)."""
+    chain: list[tuple[float, float]] = []
+    for p in pts:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
 
 
 def convex_hull(points: list[Point]) -> list[Point]:
@@ -21,48 +49,45 @@ def convex_hull(points: list[Point]) -> list[Point]:
     Collinear boundary points are dropped.  Degenerate inputs (<= 2 distinct
     points, or all collinear) return the distinct extreme points.
     """
-    unique = sorted(set((p.x, p.y) for p in points))
-    pts = [Point(x, y) for x, y in unique]
-    if len(pts) <= 2:
-        return pts
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear
-        return [pts[0], pts[-1]]
-    return hull
+    hull = _hull_vertices([(p.x, p.y) for p in points])
+    return [Point(x, y) for x, y in hull]
 
 
-def points_on_hull(points: list[Point], tol: float = 1e-9) -> list[int]:
+def points_on_hull(points: Iterable, tol: float = 1e-9) -> list[int]:
     """Indices of input points lying on the convex hull boundary.
 
     This is the candidate set for an SA boundary move: instances "located at
     the boundary (convex hull)" of a net, in the paper's wording.  Unlike
     :func:`convex_hull` it keeps collinear boundary points, because those are
-    equally movable.
+    equally movable.  ``points`` may be :class:`Point` objects or
+    ``(x, y)`` tuples (the SA kernel passes tuples).
+
+    A point is on the boundary when some hull edge ``a -> b`` has it
+    within the band ``|cross(a, b, p)| <= tol * max(1, |ab|_1)`` and
+    inside the edge's bounding box grown by ``tol``.  Each edge's
+    direction, band and box are computed once per call, with the same
+    float expressions as the per-point form, so membership is the same
+    bit for bit (``tests/geometry/hull_oracle.py``).
     """
-    hull = convex_hull(points)
+    pts = [tuple(p) for p in points]
+    hull = _hull_vertices(pts)
     if len(hull) == 1:
-        return [i for i, p in enumerate(points) if p.is_close(hull[0], tol)]
+        (hx, hy), = hull
+        return [i for i, (x, y) in enumerate(pts)
+                if abs(x - hx) <= tol and abs(y - hy) <= tol]
+    edges = [
+        (ax, ay, bx - ax, by - ay,
+         tol * max(1.0, abs(ax - bx) + abs(ay - by)),
+         min(ax, bx) - tol, max(ax, bx) + tol,
+         min(ay, by) - tol, max(ay, by) + tol)
+        for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])
+    ]
     on_boundary: list[int] = []
-    edges = list(zip(hull, hull[1:] + hull[:1]))
-    for i, p in enumerate(points):
-        for a, b in edges:
-            if abs(_cross(a, b, p)) > tol * max(1.0, a.manhattan_to(b)):
-                continue
-            if (
-                min(a.x, b.x) - tol <= p.x <= max(a.x, b.x) + tol
-                and min(a.y, b.y) - tol <= p.y <= max(a.y, b.y) + tol
-            ):
+    for i, (px, py) in enumerate(pts):
+        for ax, ay, dx, dy, band, xlo, xhi, ylo, yhi in edges:
+            # the box test first: it rejects most interior points sooner
+            if (xlo <= px <= xhi and ylo <= py <= yhi
+                    and not abs(dx * (py - ay) - dy * (px - ax)) > band):
                 on_boundary.append(i)
                 break
     return on_boundary

@@ -90,11 +90,17 @@ def kmeans(
         raise ValueError(f"k must be >= 1, got {k}")
     if n == 0:
         raise ValueError("kmeans() requires at least one point")
-    k = min(k, n)
-    coords = np.array([[p.x, p.y] for p in points])
-    centers = _kmeans_pp_init(coords, k, seed)
+    centers, labels = _lloyd(np.array([[p.x, p.y] for p in points]),
+                             min(k, n), seed, max_iters)
+    return ([Point(x, y) for x, y in centers.tolist()], labels.tolist())
 
-    labels = np.zeros(n, dtype=np.int64)
+
+def _lloyd(coords: np.ndarray, k: int, seed: int,
+           max_iters: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding, then Lloyd with L1 medians, on ``k <= n``
+    points; returns the center array and the label array."""
+    centers = _kmeans_pp_init(coords, k, seed)
+    labels = np.zeros(len(coords), dtype=np.int64)
     for _ in range(max_iters):
         new_labels = _nearest_center_labels(coords, centers)
         if np.array_equal(new_labels, labels) and _ > 0:
@@ -102,7 +108,7 @@ def kmeans(
         labels = new_labels
         # the L1 centroid is the coordinate-wise median
         centers = _group_medians(coords, labels, centers)
-    return [Point(float(c[0]), float(c[1])) for c in centers], [int(l) for l in labels]
+    return centers, labels
 
 
 def _kmeans_pp_init(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -153,6 +159,7 @@ def balanced_kmeans(
     points: list[Point],
     max_size: int,
     seed: int = 0,
+    mapper=map,
 ) -> tuple[list[Point], list[int]]:
     """K-means whose clusters never exceed ``max_size`` members.
 
@@ -162,39 +169,54 @@ def balanced_kmeans(
     :func:`_spatial_blocks` and each block is clustered alone with the
     same seed; a block's labels follow the centers of the blocks before
     it.
+
+    ``mapper(fn, tasks)`` solves the blocks: it must return
+    ``fn(task)`` for every task, in task order.  The builtin ``map``
+    solves them here; the hierarchical flow passes its worker pool's
+    ``map`` for a level of several blocks.  Blocks are independent, so
+    the result is the same either way.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     n = len(points)
     coords = np.array([[p.x, p.y] for p in points])
-    centers: list[Point] = []
-    labels = [0] * n
-    for block in _spatial_blocks(coords, np.arange(n), max_size):
-        block = block.tolist()
-        block_centers, block_labels = _balanced_block(
-            [points[i] for i in block], max_size, seed
-        )
-        for i, label in zip(block, block_labels):
-            labels[i] = label + len(centers)
-        centers.extend(block_centers)
-    return centers, labels
+    blocks = _spatial_blocks(coords, np.arange(n), max_size)
+    solved = mapper(_balanced_block,
+                    [(coords[block], max_size, seed) for block in blocks])
+    centers: list[np.ndarray] = []
+    labels = np.empty(n, dtype=np.int64)
+    offset = 0
+    for block, (block_centers, block_labels) in zip(blocks, solved):
+        labels[block] = block_labels + offset
+        centers.append(block_centers)
+        offset += len(block_centers)
+    return ([Point(x, y) for x, y in np.concatenate(centers).tolist()],
+            labels.tolist())
 
 
 def _balanced_block(
-    points: list[Point], max_size: int, seed: int
-) -> tuple[list[Point], list[int]]:
-    """Balanced K-means on one spatial block: Lloyd, then exact
-    capacitated assignment if any cluster overruns ``max_size``."""
-    n = len(points)
+    task: tuple[np.ndarray, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced K-means on one spatial block ``(coords, max_size,
+    seed)``: Lloyd, then exact capacitated assignment if any cluster
+    overruns ``max_size``.  Returns the block's center and label
+    arrays: a picklable task and a slim outcome, so a worker pool can
+    solve it (see :func:`balanced_kmeans`)."""
+    coords, max_size, seed = task
+    n = len(coords)
+    if n == 0:
+        raise ValueError("kmeans() requires at least one point")
     k = max(1, math.ceil(n / max_size))
-    centers, labels = kmeans(points, k, seed=seed)
+    centers, labels = _lloyd(coords, k, seed)
 
     counts = np.bincount(labels, minlength=k)
     if counts.max() <= max_size:
         return centers, labels
-    assignment = balanced_assign(points, centers, capacity=max_size)
+    assignment = balanced_assign(
+        [Point(x, y) for x, y in coords.tolist()],
+        [Point(x, y) for x, y in centers.tolist()],
+        capacity=max_size,
+    )
     # recentre once after rebalancing to keep centers honest
-    coords = np.array([[p.x, p.y] for p in points])
-    old = np.array([[c.x, c.y] for c in centers])
-    med = _group_medians(coords, np.array(assignment), old)
-    return [Point(float(c[0]), float(c[1])) for c in med], assignment
+    labels = np.array(assignment)
+    return _group_medians(coords, labels, centers), labels

@@ -43,6 +43,17 @@ def test_all_flows_reach_all_sinks(all_flows):
         result.tree.validate()
 
 
+def test_openroad_reports_its_routed_driver_load(all_flows):
+    """OpenROAD's one level of leaf nets reports the largest driver
+    stage load, which its cap column already measures on the routed
+    nets (the same load, summed in another order)."""
+    _, _, _, results = all_flows
+    (stats,) = results["or"].levels
+    assert stats.max_routed_cap > 0.0
+    assert stats.max_routed_cap == pytest.approx(stats.max_net_cap,
+                                                 rel=1e-12)
+
+
 def test_all_flows_buffered(all_flows):
     _, _, reports, _ = all_flows
     for name, rep in reports.items():

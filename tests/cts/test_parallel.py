@@ -8,6 +8,7 @@ serial ``jobs=1`` flow — and a failing worker degrades per cluster
 instead of aborting the run.
 """
 
+import importlib
 import os
 import pickle
 
@@ -27,6 +28,10 @@ from repro.parallel import WorkPool, resolve_jobs, usable_cpus
 from repro.perf import make_uniform_sinks
 from repro.tech import Technology
 from repro.timing.elmore import ElmoreAnalyzer
+
+# ``repro.partition`` re-exports the ``kmeans`` function under the
+# module's name, so bind the module explicitly.
+kmeans_mod = importlib.import_module("repro.partition.kmeans")
 
 
 def run_flow(n, seed=0, jobs=1, sa_iterations=50):
@@ -173,6 +178,93 @@ def test_degraded_cluster_routes_in_its_slot(monkeypatch):
     assert "injected worker failure" in faults[0].detail
 
 
+def test_pooled_blocks_partition_as_serial(monkeypatch):
+    """A level's spatial blocks k-meansed through the flow's mapper on a
+    2-worker pool give the serial centers and labels byte for byte, and
+    the blocks' assignment metrics replay in block order."""
+    monkeypatch.setattr(kmeans_mod, "_BLOCK", 64)   # 300 points: 8 blocks
+    monkeypatch.setattr(METRICS, "_events", None)   # log off afterwards
+    sinks, _side = make_uniform_sinks(300, 0)
+    points = [s.location for s in sinks]
+
+    def partition(pool):
+        METRICS.begin_event_log()
+        centers, labels = kmeans_mod.balanced_kmeans(
+            points, max_size=8, seed=3,
+            mapper=framework._block_mapper(pool, 0))
+        log = [e for e in METRICS.raw_snapshot()["events"]
+               if e[1].startswith("partition.assign")]
+        return [(repr(c.x), repr(c.y)) for c in centers], labels, log
+
+    serial = partition(None)
+    seen = []
+    real_map = WorkPool.map
+
+    def spy(self, fn, tasks, **kwargs):
+        seen.append(len(tasks))
+        return real_map(self, fn, tasks, **kwargs)
+
+    monkeypatch.setattr(WorkPool, "map", spy)
+    with WorkPool(2) as pool:
+        pooled = partition(pool)
+        assert pool.health.healthy
+    assert seen == [8]
+    assert pooled == serial
+    # one exact assignment per overrunning block, in block order
+    names = [e[1] for e in serial[2]]
+    assert names.count("partition.assign_lsa") == \
+        names.count("partition.assign_cost_um") > 1
+
+
+def _capture_subtrees(monkeypatch):
+    """Record the cluster trees each flow grafts, by net name."""
+    grafted = {}
+    real_graft = framework.graft_subtrees
+
+    def graft(top, subtrees):
+        grafted.clear()
+        grafted.update(subtrees)
+        return real_graft(top, subtrees)
+
+    monkeypatch.setattr(framework, "graft_subtrees", graft)
+    return grafted
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_level_stats_report_the_routed_driver_load(monkeypatch, jobs):
+    """``max_routed_cap`` is the largest root-driver stage load of the
+    level's routed nets, as a fresh analysis of each net reads it."""
+    grafted = _capture_subtrees(monkeypatch)
+    result, tech = run_flow(1200, 2, jobs=jobs)
+    analyzer = ElmoreAnalyzer(tech, FlowConfig().source_slew)
+    assert len(result.levels) >= 2
+    for stats in result.levels:
+        loads = [analyzer.analyze(tree).stage_load[tree.root]
+                 for name, tree in grafted.items()
+                 if name.startswith(f"L{stats.level}_")]
+        assert len(loads) == stats.num_clusters
+        assert stats.max_routed_cap == max(loads)
+    # the HPWL estimate runs below the routed load on level 0
+    assert result.levels[0].max_routed_cap > result.levels[0].max_net_cap
+
+
+def test_degraded_analysis_reports_a_zero_routed_load():
+    class FailingAnalyzer(ElmoreAnalyzer):
+        def analyze(self, tree):
+            raise RuntimeError("injected analysis failure")
+
+    tech = Technology()
+    sinks, side = make_uniform_sinks(200, 0)
+    result = HierarchicalCTS(
+        tech=tech, config=FlowConfig(sa_iterations=20),
+        analyzer=FailingAnalyzer(tech), jobs=1,
+    ).run(sinks, Point(side / 2, side / 2))
+    assert result.levels
+    assert all(stats.max_routed_cap == 0.0 for stats in result.levels)
+    assert result.diagnostics.count("downgrade") >= \
+        result.levels[0].num_clusters
+
+
 def test_jobs_zero_resolves_to_cpu_count():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(7) == 7
@@ -206,10 +298,11 @@ def test_cluster_task_is_picklable():
 # Auto (jobs=0, the default): a pool per run, used where it pays
 # ----------------------------------------------------------------------
 def _spy_pools(monkeypatch, cpus):
-    """Patch the CPU budget; record every pool the framework builds and
-    the cluster sizes of every level it sends through one."""
+    """Patch the CPU budget; record every pool the framework builds, the
+    cluster sizes of every level it routes through one, and the block
+    count of every level it k-means through one."""
     monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: cpus)
-    seen = {"built": 0, "levels": []}
+    seen = {"built": 0, "levels": [], "blocks": []}
     real_map = WorkPool.map
 
     def build(*args, **kwargs):
@@ -217,7 +310,10 @@ def _spy_pools(monkeypatch, cpus):
         return WorkPool(*args, **kwargs)
 
     def route(self, fn, tasks, **kwargs):
-        seen["levels"].append([len(t.sinks) for t in tasks])
+        if all(isinstance(t, ClusterTask) for t in tasks):
+            seen["levels"].append([len(t.sinks) for t in tasks])
+        else:   # (coords, max_size, seed) spatial-block tasks
+            seen["blocks"].append(len(tasks))
         return real_map(self, fn, tasks, **kwargs)
 
     monkeypatch.setattr(framework, "WorkPool", build)
@@ -258,6 +354,8 @@ def test_auto_pools_the_paying_levels_and_matches_serial(monkeypatch):
         runs.append((result, METRICS.as_dict(precision=None), roots))
     (serial, serial_metrics, _), (auto, auto_metrics, roots) = runs
     assert seen["built"] == 1   # the serial run built none
+    # level 0 (2,000 sinks) is two spatial blocks, k-meansed in the pool
+    assert seen["blocks"] == [2]
     assert quality(serial, tech) == quality(auto, tech)
     assert serial.levels == auto.levels
     assert event_multiset(serial) == event_multiset(auto)
@@ -276,8 +374,9 @@ def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
     seen = _spy_pools(monkeypatch, cpus=2)
     real_kmeans = framework.balanced_kmeans
 
-    def tiny_kmeans(points, max_size, seed):
-        return real_kmeans(points, max_size=min(max_size, 4), seed=seed)
+    def tiny_kmeans(points, max_size, seed, mapper):
+        return real_kmeans(points, max_size=min(max_size, 4), seed=seed,
+                           mapper=mapper)
 
     # the default partitioner, narrowed to clusters of at most 4 sinks;
     # patched on the module, so the config still holds no callable
@@ -295,6 +394,7 @@ def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
     assert all(level.max_net_fanout <= 4 for level in auto.levels)
     assert seen["built"] == 1
     assert seen["levels"] == []
+    assert seen["blocks"] == []
     assert quality(auto, tech) == quality(serial, tech)
 
 
