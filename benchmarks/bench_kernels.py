@@ -1,5 +1,5 @@
-"""Microbench: CBS construction, ``refine``, Elmore analysis and SA
-partition refinement at the flow's sizes.
+"""Microbench: CBS construction, ``refine``, skew repair, the DME merge
+topology, Elmore analysis and SA partition refinement at the flow's sizes.
 
 The hierarchical flow routes nets of at most ``max_fanout`` = 32 sinks,
 so its per-net kernels only ever see trees of a few dozen nodes.  This
@@ -10,6 +10,11 @@ traced benchmark's ``core.cbs_calls.le8/le16/le32`` buckets:
   included), as the flow routes a cluster net;
 * ``refine`` on every tree CBS hands it (the Step 2 skeleton and the
   Step 3 SALT tree), each on a fresh copy;
+* ``repair_skew`` on the Step 4 tree CBS hands Step 5, each on a fresh
+  copy;
+* ``greedy_dist`` (CBS Step 1's merge topology) on each net's sinks,
+  and on 128 and 512 uniform sinks, where a quadratic pair search
+  would show;
 * ``ElmoreAnalyzer.analyze`` on each routed net with its root driver
   placed, as the flow analyzes it;
 * ``anneal_partition`` (paper Fig. 4, the flow's 200 iterations) on
@@ -21,6 +26,9 @@ A batched arm of either kernel has to win here, and in the flow, before
 it replaces the scalar one.  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py
+
+CI runs it with ``--benchmark-disable`` (each bench once, untimed), so
+the benches cannot rot.
 """
 
 import importlib
@@ -33,6 +41,10 @@ from repro.core import cbs
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.designs import load_design
 from repro.dme import ElmoreDelay
+from repro.dme.repair import repair_skew
+from repro.dme.topology import greedy_dist
+from repro.geometry import Point
+from repro.netlist import Sink
 from repro.flowguard.diagnostics import FlowDiagnostics
 from repro.partition import anneal_partition
 from repro.salt import refine
@@ -50,13 +62,19 @@ SKEW_BOUND_PS = 80.0  # Table 5
                 ids=lambda n: f"{n}sinks")
 def cbs_nets(request):
     """``NETS_PER_SIZE`` random nets of ``request.param`` sinks, their
-    CBS trees, and a copy of every tree CBS refined while routing them."""
+    CBS trees, a copy of every tree CBS refined while routing them, and
+    a copy of each net's Step 4 tree, the one Step 5 repairs."""
     rng = random.Random(request.param)
     refined = []
+    step4 = []
 
     def capture(tree, *args, **kwargs):
         refined.append(tree.copy())
         return refine(tree, *args, **kwargs)
+
+    def capture_step4(tree, *args, **kwargs):
+        step4.append(tree.copy())
+        return repair_skew(tree, *args, **kwargs)
 
     nets = [random_clock_net(rng, n_pins=request.param, name=f"n{i}")
             for i in range(NETS_PER_SIZE)]
@@ -64,15 +82,17 @@ def cbs_nets(request):
     with pytest.MonkeyPatch.context() as mp:
         for module in ("repro.core.cbs", "repro.salt.salt"):
             mp.setattr(importlib.import_module(module), "refine", capture)
+        mp.setattr(importlib.import_module("repro.core.cbs"), "repair_skew",
+                   capture_step4)
         for net in nets:
             tree = cbs(net, SKEW_BOUND_PS, model=ElmoreDelay(TECH))
             place_driver(tree, default_library(), TECH)
             routed.append(tree)
-    return nets, routed, refined
+    return nets, routed, refined, step4
 
 
 def test_cbs_construction(benchmark, cbs_nets):
-    nets, _, _ = cbs_nets
+    nets, _, _, _ = cbs_nets
     model = ElmoreDelay(TECH)
 
     def run():
@@ -83,7 +103,7 @@ def test_cbs_construction(benchmark, cbs_nets):
 
 
 def test_refine_cbs_nets(benchmark, cbs_nets):
-    _, _, refined = cbs_nets
+    _, _, refined, _ = cbs_nets
 
     def fresh_copies():
         return ([t.copy() for t in refined],), {}
@@ -96,8 +116,40 @@ def test_refine_cbs_nets(benchmark, cbs_nets):
     assert saved >= 0.0
 
 
+def test_repair_skew_cbs_nets(benchmark, cbs_nets):
+    _, _, _, step4 = cbs_nets
+    model = ElmoreDelay(TECH)
+
+    def fresh_copies():
+        return ([t.copy() for t in step4],), {}
+
+    def run(trees):
+        # wire added per tree; negative where re-embedding saved wire
+        return [repair_skew(t, SKEW_BOUND_PS, model=model) for t in trees]
+
+    added = benchmark.pedantic(run, setup=fresh_copies, rounds=20,
+                               iterations=1)
+    assert len(added) == NETS_PER_SIZE
+
+
+def test_greedy_dist_cbs_nets(benchmark, cbs_nets):
+    nets, _, _, _ = cbs_nets
+    topologies = benchmark(lambda: [greedy_dist(net.sinks) for net in nets])
+    assert len(topologies) == NETS_PER_SIZE
+
+
+@pytest.mark.parametrize("n", (128, 512), ids=lambda n: f"{n}sinks")
+def test_greedy_dist_uniform(benchmark, n):
+    rng = random.Random(n)
+    sinks = [Sink(f"s{i}", Point(rng.uniform(0, 300.0), rng.uniform(0, 300.0)))
+             for i in range(n)]
+    topology = benchmark.pedantic(greedy_dist, args=(sinks,), rounds=5,
+                                  iterations=1)
+    assert topology.sink is None
+
+
 def test_analyze_cbs_nets(benchmark, cbs_nets):
-    _, routed, _ = cbs_nets
+    _, routed, _, _ = cbs_nets
     analyzer = ElmoreAnalyzer(TECH)
     reports = benchmark(lambda: [analyzer.analyze(t) for t in routed])
     assert len(reports) == NETS_PER_SIZE

@@ -29,6 +29,7 @@ from repro.netlist.sink import Sink
 from repro.netlist.tree import RoutedTree
 from repro.obs.clock import now
 from repro.obs.tracer import TRACER
+from repro.partition.clustering import Cluster, cluster_cap
 from repro.partition.kmeans import balanced_kmeans
 from repro.rsmt.flute_like import rsmt
 from repro.tech.buffer_library import BufferLibrary, default_library
@@ -70,10 +71,13 @@ def openroad_like_cts(
         # 4. leaf nets: plain RSMT, driver buffer at the tap, no balancing
         subtrees: dict[str, RoutedTree] = {}
         taps: list[Sink] = []
+        leaf_caps: list[float] = []
         for j, members in sorted(groups.items()):
             if not members:
                 continue
             tap = manhattan_center([s.location for s in members])
+            leaf_caps.append(cluster_cap(Cluster(members, tap),
+                                         tech.unit_cap))
             name = f"or_c{j}"
             with TRACER.span("cluster", net=name, sinks=len(members)):
                 net = ClockNet(name, tap, members)
@@ -120,10 +124,9 @@ def openroad_like_cts(
         num_clusters=len(taps),
         sa_cost_before=0.0,
         sa_cost_after=0.0,
-        max_net_cap=max(
-            _subtree_cap(subtrees[t.name], subtrees[t.name].root, tech)
-            for t in taps
-        ),
+        # the HPWL estimate around each leaf tap, as HierarchicalCTS
+        # reports it; the routed load goes in max_routed_cap
+        max_net_cap=max(leaf_caps),
         max_routed_cap=max(
             downstream_stage_cap(tree, tech)[tree.root]
             for tree in subtrees.values()

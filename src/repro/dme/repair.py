@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from repro.dme.models import DelayModel, ElmoreDelay, LinearDelay
-from repro.geometry import Point, manhattan
+from repro.geometry import Point
 from repro.netlist.tree import RoutedTree
 from repro.tech.technology import RC_TO_PS
 
@@ -58,13 +58,16 @@ def repair_skew(
     lo: dict[int, float] = {}
     hi: dict[int, float] = {}
     cap: dict[int, float] = {}
+    wire_delay = model.wire_delay
+    unit_cap = model.unit_cap
 
     for nid in tree.postorder():
         node = tree.node(nid)
+        sink = node.sink
         if not node.children:
-            delay = node.sink.subtree_delay if node.sink is not None else 0.0
+            delay = sink.subtree_delay if sink is not None else 0.0
             lo[nid] = hi[nid] = delay
-            cap[nid] = node.sink.cap if node.sink is not None else 0.0
+            cap[nid] = sink.cap if sink is not None else 0.0
             continue
 
         if relocate and node.is_steiner and node.parent is not None:
@@ -74,19 +77,17 @@ def repair_skew(
 
         _snake_children(tree, model, skew_bound, nid, lo, hi, cap, budget)
 
-        shifted = [
-            (lo[cid] + model.wire_delay(tree.edge_length(cid), cap[cid]),
-             hi[cid] + model.wire_delay(tree.edge_length(cid), cap[cid]))
-            for cid in node.children
-        ]
-        lo[nid] = min(s[0] for s in shifted)
-        hi[nid] = max(s[1] for s in shifted)
-        if node.sink is not None:
-            lo[nid] = min(lo[nid], node.sink.subtree_delay)
-            hi[nid] = max(hi[nid], node.sink.subtree_delay)
-        cap[nid] = (node.sink.cap if node.sink is not None else 0.0) + sum(
-            cap[cid] + model.unit_cap * tree.edge_length(cid)
-            for cid in node.children
+        arms = [tree.edge_length(cid) for cid in node.children]
+        times = [wire_delay(arm, cap[cid])
+                 for cid, arm in zip(node.children, arms)]
+        lo[nid] = min(lo[cid] + t for cid, t in zip(node.children, times))
+        hi[nid] = max(hi[cid] + t for cid, t in zip(node.children, times))
+        if sink is not None:
+            lo[nid] = min(lo[nid], sink.subtree_delay)
+            hi[nid] = max(hi[nid], sink.subtree_delay)
+        cap[nid] = (sink.cap if sink is not None else 0.0) + sum(
+            cap[cid] + unit_cap * arm
+            for cid, arm in zip(node.children, arms)
         )
 
     return tree.wirelength() - wire_before
@@ -104,71 +105,63 @@ def _best_position(
     hi: dict[int, float],
     cap: dict[int, float],
 ) -> Point | None:
-    """Candidate position minimising wire + required snaking for ``nid``."""
+    """Candidate position minimising wire + required snaking for ``nid``.
+
+    The candidates are the current spot, each child, the median of the
+    parent, the node and each child, and three blends toward each child,
+    tried in that order as ``(x, y)`` pairs; one replaces the best only
+    when cheaper by more than 1e-12.  Each child's location, detour,
+    delay interval and load are read once per node.  A candidate whose
+    wire alone, ``|q - parent| + sum(arms)``, is already at least
+    ``best - 1e-12`` is not priced further: snaking adds a non-negative
+    length and float addition is monotone, so its full cost could not
+    have replaced the best either.
+    """
     node = tree.node(nid)
-    parent_loc = tree.node(node.parent).location  # type: ignore[index]
-    child_ids = node.children
-    child_locs = [tree.node(c).location for c in child_ids]
+    ploc = tree.node(node.parent).location  # type: ignore[arg-type]
+    px, py = ploc.x, ploc.y
+    nx, ny = node.location.x, node.location.y
+    kids = []  # (x, y, detour, lo, hi, cap) per child
+    for cid in node.children:
+        child = tree.node(cid)
+        loc = child.location
+        kids.append((loc.x, loc.y, child.detour, lo[cid], hi[cid], cap[cid]))
 
-    candidates: list[Point] = [node.location]
-    candidates.extend(child_locs)
-    for c_loc in child_locs:
-        candidates.append(_median(parent_loc, node.location, c_loc))
+    candidates = [(nx, ny)]
+    candidates.extend((kid[0], kid[1]) for kid in kids)
+    for kid in kids:
+        cx, cy = kid[0], kid[1]
+        candidates.append((sorted((px, nx, cx))[1], sorted((py, ny, cy))[1]))
         for frac in (0.25, 0.5, 0.75):
-            candidates.append(Point(
-                node.location.x + frac * (c_loc.x - node.location.x),
-                node.location.y + frac * (c_loc.y - node.location.y),
-            ))
+            candidates.append((nx + frac * (cx - nx), ny + frac * (cy - ny)))
 
+    wire_delay = model.wire_delay
     best_cost = None
-    best_point = None
-    for q in candidates:
-        cost = _position_cost(
-            tree, model, skew_bound, q, parent_loc, child_ids, lo, hi, cap
-        )
+    best = None
+    for qx, qy in candidates:
+        # manhattan(q, child) + detour, as RoutedTree.edge_length sums it
+        arms = [(abs(qx - kid[0]) + abs(qy - kid[1])) + kid[2]
+                for kid in kids]
+        cost = (abs(qx - px) + abs(qy - py)) + sum(arms)
+        if best_cost is not None and cost >= best_cost - 1e-12:
+            continue
+        # the snaking each child would need at q
+        times = [wire_delay(arm, kid[5]) for kid, arm in zip(kids, arms)]
+        hi_max = max([kid[4] + t for kid, t in zip(kids, times)])
+        snake = 0.0
+        for kid, arm, t in zip(kids, arms, times):
+            deficit = (hi_max - skew_bound) - (kid[3] + t)
+            if deficit > 1e-12:
+                snake += _extension_for_added_delay(model, arm, deficit,
+                                                    kid[5])
+        cost += snake
         if best_cost is None or cost < best_cost - 1e-12:
             best_cost = cost
-            best_point = q
-    if best_point is None or best_point.is_close(node.location):
+            best = (qx, qy)
+    if best is None or (abs(best[0] - nx) <= 1e-9
+                        and abs(best[1] - ny) <= 1e-9):
         return None
-    return best_point
-
-
-def _position_cost(
-    tree: RoutedTree,
-    model: DelayModel,
-    skew_bound: float,
-    q: Point,
-    parent_loc: Point,
-    child_ids: list[int],
-    lo: dict[int, float],
-    hi: dict[int, float],
-    cap: dict[int, float],
-) -> float:
-    """Wire this node costs when embedded at q: parent edge + child arms
-    + the snaking each child would need."""
-    arms = [
-        manhattan(q, tree.node(c).location) + tree.node(c).detour
-        for c in child_ids
-    ]
-    shifted_lo = [lo[c] + model.wire_delay(a, cap[c])
-                  for c, a in zip(child_ids, arms)]
-    shifted_hi = [hi[c] + model.wire_delay(a, cap[c])
-                  for c, a in zip(child_ids, arms)]
-    hi_max = max(shifted_hi)
-    snake = 0.0
-    for c, arm, s_lo in zip(child_ids, arms, shifted_lo):
-        deficit = (hi_max - skew_bound) - s_lo
-        if deficit > 1e-12:
-            snake += _extension_for_added_delay(model, arm, deficit, cap[c])
-    return manhattan(q, parent_loc) + sum(arms) + snake
-
-
-def _median(a: Point, b: Point, c: Point) -> Point:
-    return Point(
-        sorted((a.x, b.x, c.x))[1],
-        sorted((a.y, b.y, c.y))[1],
-    )
+    return Point(best[0], best[1])
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,9 @@ leaves are the input sinks, and all are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from repro.geometry import Point, rotate45
 from repro.geometry.segment import Rect
@@ -53,47 +52,109 @@ def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
     )
 
 
-def _agglomerate_batched(sinks: list[Sink], use_delay: bool) -> TopologyNode:
-    """Vectorised agglomeration: full pairwise cost matrix per merge.
+def _agglomerate_rowmin(sinks: list[Sink], use_delay: bool) -> TopologyNode:
+    """Agglomerate by cached row minima: the least-cost pair merges first.
 
-    Identical to the scalar pairwise scan kept as the test oracle in
-    ``tests/dme/agglomerate_oracle.py`` — the matrix entries repeat
-    ``Rect.gap``'s arithmetic operation for operation, masking the
-    diagonal and lower triangle to +inf makes the flat C-order argmin
-    the exact row-major upper-triangle scan of the reference (so cost
-    ties pick the same pair), and cluster-list mutation uses the same
-    pop(j)/pop(i)/append discipline so indices line up at every step.
+    Identical to the pairwise scan kept as the test oracle in
+    ``tests/dme/agglomerate_oracle.py``.  Clusters get ids in creation
+    order, which is their order in the reference's list (it pops the
+    merged pair and appends the result), so the reference's row-major
+    first minimum is the least ``(cost, i, j)`` over live ids ``i < j``.
+    Each live row ``i`` caches its first minimum over later ids.  A
+    merge costs the new cluster once against every live row; a row
+    keeps its cached partner unless the new cluster is strictly cheaper
+    (it has the largest id, so it loses ties), and a row whose partner
+    was consumed is rescanned.
     """
     if not sinks:
         raise ValueError("cannot build a topology over zero sinks")
     clusters = [_leaf_cluster(s) for s in sinks]
-    while len(clusters) > 1:
-        m = len(clusters)
-        ulo = np.array([c.region.ulo for c in clusters])
-        uhi = np.array([c.region.uhi for c in clusters])
-        vlo = np.array([c.region.vlo for c in clusters])
-        vhi = np.array([c.region.vhi for c in clusters])
-        du = np.maximum(
-            0.0, np.maximum.outer(ulo, ulo) - np.minimum.outer(uhi, uhi))
-        dv = np.maximum(
-            0.0, np.maximum.outer(vlo, vlo) - np.minimum.outer(vhi, vhi))
-        costm = np.maximum(du, dv)
+    keys = [_key(c) for c in clusters]
+    live = list(range(len(clusters)))
+    # per id: the row's first minimum over later live ids, and that id;
+    # dead rows read +inf, so the least row is the first minimum of the
+    # list and its index the least id holding it
+    row_cost: list[float] = []
+    partner: list[int] = []
+    for i in live:
+        c, j = _row_min(keys[i], live[i + 1:], keys, use_delay)
+        row_cost.append(c)
+        partner.append(j)
+    while len(live) > 1:
+        i = row_cost.index(min(row_cost))
+        j = partner[i]
+        new = len(clusters)
+        clusters.append(_merge_clusters(clusters[i], clusters[j]))
+        keys.append(_key(clusters[new]))
+        row_cost[i] = row_cost[j] = math.inf
+        live.remove(i)
+        live.remove(j)
+        to_new = _costs(keys[new], live, keys, use_delay)
+        for pos, r in enumerate(live):
+            if partner[r] == i or partner[r] == j:
+                row_cost[r], partner[r] = _row_min(
+                    keys[r], live[pos + 1:] + [new], keys, use_delay)
+            elif to_new[pos] < row_cost[r]:
+                row_cost[r], partner[r] = to_new[pos], new
+        live.append(new)
+        row_cost.append(math.inf)
+        partner.append(-1)
+    return clusters[live[0]].topo
+
+
+def _key(c: _Cluster) -> tuple[float, float, float, float, float]:
+    region = c.region
+    return region.ulo, region.uhi, region.vlo, region.vhi, c.delay_est
+
+
+def _costs(
+    key: tuple[float, float, float, float, float],
+    ids: list[int],
+    keys: list[tuple[float, float, float, float, float]],
+    use_delay: bool,
+) -> list[float]:
+    """Merge cost of the cluster with ``key`` against each of ``ids``.
+
+    ``Rect.distance``'s value (the larger per-axis gap, zero when the
+    projections overlap), with the delay imbalance when ``use_delay``.
+    Only comparisons read these costs, and the value is symmetric in the
+    pair, so a signed zero or the operand order cannot change a merge.
+    """
+    aul, auh, avl, avh, ad = key
+    out: list[float] = []
+    append = out.append
+    for j in ids:
+        bul, buh, bvl, bvh, bd = keys[j]
+        du = (bul if bul > aul else aul) - (buh if buh < auh else auh)
+        dv = (bvl if bvl > avl else avl) - (bvh if bvh < avh else avh)
+        if dv > du:
+            du = dv
         if use_delay:
-            delay = np.array([c.delay_est for c in clusters])
-            costm = np.maximum(
-                costm, np.abs(np.subtract.outer(delay, delay)))
-        costm[np.tri(m, dtype=bool)] = np.inf
-        i, j = divmod(int(np.argmin(costm)), m)
-        merged = _merge_clusters(clusters[i], clusters[j])
-        clusters.pop(j)
-        clusters.pop(i)
-        clusters.append(merged)
-    return clusters[0].topo
+            dv = abs(ad - bd)
+            if dv > du:
+                du = dv
+        append(du if du > 0.0 else 0.0)
+    return out
+
+
+def _row_min(
+    key: tuple[float, float, float, float, float],
+    later: list[int],
+    keys: list[tuple[float, float, float, float, float]],
+    use_delay: bool,
+) -> tuple[float, int]:
+    """First minimum of a row over ``later`` ids: (cost, id), or
+    (+inf, -1) for an empty row."""
+    costs = _costs(key, later, keys, use_delay)
+    if not costs:
+        return math.inf, -1
+    c = min(costs)
+    return c, later[costs.index(c)]
 
 
 def greedy_dist(sinks: list[Sink]) -> TopologyNode:
     """Merge the two closest subtrees at each step."""
-    return _agglomerate_batched(sinks, use_delay=False)
+    return _agglomerate_rowmin(sinks, use_delay=False)
 
 
 def greedy_merge(sinks: list[Sink]) -> TopologyNode:
@@ -103,7 +164,7 @@ def greedy_merge(sinks: list[Sink]) -> TopologyNode:
     the connection distance, or the detour the delay imbalance forces when
     it exceeds that distance — i.e. ``max(dist, |delay_a - delay_b|)``.
     """
-    return _agglomerate_batched(sinks, use_delay=True)
+    return _agglomerate_rowmin(sinks, use_delay=True)
 
 
 def bi_partition(sinks: list[Sink]) -> TopologyNode:

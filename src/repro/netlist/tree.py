@@ -150,6 +150,13 @@ class RoutedTree:
     def node(self, nid: int) -> TreeNode:
         return self._nodes[nid]
 
+    @property
+    def nodes(self) -> dict[int, TreeNode]:
+        """The id -> node mapping itself, for loops that look up many
+        nodes (``nodes[nid]`` skips a method call); read it, never
+        mutate it."""
+        return self._nodes
+
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -171,11 +178,16 @@ class RoutedTree:
     def preorder(self) -> list[int]:
         """Parent-before-child order, iterative."""
         order: list[int] = []
+        append = order.append
         stack = [self._root]
+        pop = stack.pop
+        nodes = self._nodes
         while stack:
-            nid = stack.pop()
-            order.append(nid)
-            stack.extend(reversed(self._nodes[nid].children))
+            nid = pop()
+            append(nid)
+            children = nodes[nid].children
+            if children:
+                stack += children[::-1]
         return order
 
     def postorder(self) -> list[int]:
@@ -202,18 +214,32 @@ class RoutedTree:
         return manhattan(node.location, self._nodes[node.parent].location) + node.detour
 
     def wirelength(self) -> float:
-        """Total wirelength WL(T), including detours."""
-        return sum(self.edge_length(nid) for nid in self._nodes)
+        """Total wirelength WL(T), including detours: the builtin ``sum``
+        of every node's :meth:`edge_length`, in node order."""
+        nodes = self._nodes
+        lengths = []
+        for node in nodes.values():
+            if node.parent is None:
+                lengths.append(0.0)
+                continue
+            loc, ploc = node.location, nodes[node.parent].location
+            lengths.append((abs(loc.x - ploc.x) + abs(loc.y - ploc.y))
+                           + node.detour)
+        return sum(lengths)
 
     def path_lengths(self) -> dict[int, float]:
-        """Path length from the root to every node, in one preorder pass."""
+        """Path length from the root to every node, in one preorder pass
+        (each edge measured as :meth:`edge_length` measures it)."""
+        nodes = self._nodes
         lengths: dict[int, float] = {}
         for nid in self.preorder():
-            node = self._nodes[nid]
+            node = nodes[nid]
             if node.parent is None:
                 lengths[nid] = 0.0
-            else:
-                lengths[nid] = lengths[node.parent] + self.edge_length(nid)
+                continue
+            loc, ploc = node.location, nodes[node.parent].location
+            lengths[nid] = lengths[node.parent] + (
+                (abs(loc.x - ploc.x) + abs(loc.y - ploc.y)) + node.detour)
         return lengths
 
     def sink_path_lengths(self) -> dict[int, float]:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import chain
 
 from repro.geometry import Point
 from repro.geometry.hull import points_on_hull
@@ -75,7 +75,10 @@ def anneal_partition(
     those lists with :func:`net_cost`'s float expressions in the same
     order (builtin ``sum`` over the caps in list order, never a running
     total), so clusters, centers and trace equal the ``Cluster``-based
-    reference (``tests/partition/sa_oracle.py``) bit for bit.
+    reference (``tests/partition/sa_oracle.py``) bit for bit.  Work per
+    iteration follows what a move touches: the cost ranking and the
+    center index change only for its two nets, and the best state is
+    recovered at the end by undoing the moves applied since it.
     """
     cfg = cfg or SAConfig()
     rng = random.Random(cfg.seed)
@@ -83,8 +86,11 @@ def anneal_partition(
     costs = [_cost(net.xs, net.ys, net.caps, net.center, cfg)
              for net in nets]
     current = sum(costs)
-    best_state = _snapshot(nets)
     best_cost = current
+    # moves applied since the best state, undone at the end
+    undo: list[tuple[int, int, int, Point, Point]] = []
+    ranked = _Ranking(nets, costs)
+    centers = _Centers(nets)
     trace = [current]
     temp = cfg.initial_temp
     proposed = accepted = 0
@@ -92,7 +98,7 @@ def anneal_partition(
     with TRACER.span("sa", iterations=cfg.iterations,
                      clusters=len(clusters)):
         for _ in range(cfg.iterations):
-            move = _propose_move(nets, costs, rng)
+            move = _propose_move(nets, ranked, centers, rng)
             if move is None:
                 trace.append(current)
                 temp *= cfg.cooling
@@ -104,23 +110,34 @@ def anneal_partition(
                 # the applied delta differs slightly from the estimate because
                 # the move also re-centers both nets; re-sum the per-net
                 # costs rather than accumulating deltas, so ``current``
-                # (and therefore the trace and the best-state snapshot
-                # decision) can never drift away from the cost the state
-                # actually has — min(trace) equals
-                # total_cost(best_state) bit-for-bit
+                # (and therefore the trace and the best-state decision)
+                # can never drift away from the cost the state actually
+                # has — min(trace) equals total_cost(best_state)
+                # bit-for-bit
                 accepted += 1
+                src_center, dst_center = nets[src].center, nets[dst].center
+                undo.append((src, dst, sink_idx, src_center, dst_center))
+                ranked.discard(src, dst)
                 _apply_move(nets, costs, cfg, src, dst, sink_idx)
+                ranked.add(src, dst)
+                centers.move(src, src_center, nets[src].center)
+                centers.move(dst, dst_center, nets[dst].center)
                 current = sum(costs)
                 if current < best_cost:
                     best_cost = current
-                    best_state = _snapshot(nets)
+                    undo.clear()
             trace.append(current)
             temp *= cfg.cooling
 
+    for src, dst, sink_idx, src_center, dst_center in reversed(undo):
+        nets[src].sinks.insert(sink_idx, nets[dst].sinks.pop())
+        nets[src].center, nets[dst].center = src_center, dst_center
+    best_state = [Cluster(net.sinks, net.center) for net in nets]
     METRICS.inc("partition.sa_moves_proposed", proposed)
     METRICS.inc("partition.sa_moves_accepted", accepted)
-    METRICS.observe("partition.sa_cost_drop",
-                    trace[0] - total_cost(best_state, cfg))
+    # best_cost sums the best state's net costs in net order, as
+    # total_cost(best_state, cfg) would, to the same float
+    METRICS.observe("partition.sa_cost_drop", trace[0] - best_cost)
     return best_state, trace
 
 
@@ -142,8 +159,71 @@ class _Net:
         self.hull: list[int] | None = None
 
 
-def _snapshot(nets: list[_Net]) -> list[Cluster]:
-    return [Cluster(list(net.sinks), net.center) for net in nets]
+class _Ranking:
+    """The movable nets (more than one sink) ranked by descending cost,
+    ties by index: ``(-cost, index)`` keys in a sorted list, the order
+    ``sorted(movable, key=cost, reverse=True)`` gives, since that sort is
+    stable.  A move changes only its two nets, so each is taken out
+    before the move and put back after it."""
+
+    __slots__ = ("keys", "nets", "costs")
+
+    def __init__(self, nets: list[_Net], costs: list[float]):
+        self.nets = nets
+        self.costs = costs
+        self.keys = sorted((-costs[j], j) for j, net in enumerate(nets)
+                           if len(net.xs) > 1)
+
+    def discard(self, *js: int) -> None:
+        for j in js:
+            if len(self.nets[j].xs) > 1:
+                del self.keys[bisect_left(self.keys, (-self.costs[j], j))]
+
+    def add(self, *js: int) -> None:
+        for j in js:
+            if len(self.nets[j].xs) > 1:
+                insort(self.keys, (-self.costs[j], j))
+
+
+class _Centers:
+    """Net centers for the nearest-net query: y by index, and
+    ``(x, index)`` pairs sorted by x.
+
+    A query scans outward from its x and stops on each side once the x
+    gap alone exceeds the best distance: a distance is that gap plus a
+    non-negative y gap, and float addition is monotone, so no center
+    past the stop is as near.  Distances repeat the reference's
+    ``abs(cx - mx) + abs(cy - my)``, and ties go to the lowest index.
+    """
+
+    __slots__ = ("by_x", "ys")
+
+    def __init__(self, nets: list[_Net]):
+        self.by_x = sorted((net.center.x, j) for j, net in enumerate(nets))
+        self.ys = [net.center.y for net in nets]
+
+    def move(self, j: int, old: Point, new: Point) -> None:
+        by_x = self.by_x
+        del by_x[bisect_left(by_x, (old.x, j))]
+        insort(by_x, (new.x, j))
+        self.ys[j] = new.y
+
+    def nearest(self, mx: float, my: float, skip: int) -> int:
+        by_x, ys = self.by_x, self.ys
+        best, best_j = math.inf, -1
+        k = bisect_left(by_x, (mx, -1))
+        for side in (range(k, len(by_x)), range(k - 1, -1, -1)):
+            for r in side:
+                x, j = by_x[r]
+                gap = abs(x - mx)
+                if gap > best:
+                    break
+                if j == skip:
+                    continue
+                d = gap + abs(ys[j] - my)
+                if d < best or (d == best and j < best_j):
+                    best, best_j = d, j
+        return best_j
 
 
 def _cost(xs: list[float], ys: list[float], caps: list[float],
@@ -173,16 +253,16 @@ def _cost(xs: list[float], ys: list[float], caps: list[float],
 
 
 def _propose_move(
-    nets: list[_Net], costs: list[float], rng: random.Random,
+    nets: list[_Net], ranked: _Ranking, centers: _Centers,
+    rng: random.Random,
 ) -> tuple[int, int, int] | None:
-    movable = [j for j, net in enumerate(nets) if len(net.xs) > 1]
-    if len(movable) < 1 or len(nets) < 2:
+    keys = ranked.keys
+    if len(keys) < 1 or len(nets) < 2:
         return None
     # (1) favour nets with large cost: a uniform draw over the costlier
-    # half, ranked by descending cost (ties by index: the sort is stable)
-    ranked = sorted(movable, key=costs.__getitem__, reverse=True)
-    top = ranked[: max(1, len(ranked) // 2)]
-    src = rng.choice(top)
+    # half, ranked by descending cost (ties by index); ``randrange(n)``
+    # draws exactly what ``choice`` over n items draws
+    src = keys[rng.randrange(max(1, len(keys) // 2))][1]
     net = nets[src]
     # (2) boundary (convex hull) instances only
     if net.hull is None:
@@ -192,10 +272,7 @@ def _propose_move(
     sink_idx = rng.choice(net.hull)
     mx, my = net.xs[sink_idx], net.ys[sink_idx]
     # (3) the net closest to that instance, the lowest index on ties
-    dist = [abs(n.center.x - mx) + abs(n.center.y - my) for n in nets]
-    dst = min(chain(range(src), range(src + 1, len(nets))),
-              key=dist.__getitem__)
-    return src, dst, sink_idx
+    return src, centers.nearest(mx, my, src), sink_idx
 
 
 def _move_delta(

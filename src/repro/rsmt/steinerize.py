@@ -93,13 +93,14 @@ def _one_pass(
 ) -> tuple[float, int]:
     gain = 0.0
     skips = 0
+    nodes = tree.nodes
     for nid in tree.preorder():
-        if nid not in tree:
+        if nid not in nodes:
             continue
         if nid in clean:
             skips += 1
             continue
-        if not tree.node(nid).children:
+        if not nodes[nid].children:
             # both patterns need a child: a leaf never gains
             clean.add(nid)
             continue
@@ -129,15 +130,16 @@ def _collapse_children_pairs(
     changes: list[tuple[float, float, float, float]] | None,
     clean: set[int],
 ) -> float:
+    nodes = tree.nodes
     gain = 0.0
     improved = True
     while improved:
         improved = False
-        node = tree.node(nid)
+        node = nodes[nid]
         ux, uy = node.location.x, node.location.y
         kids = []
         for c in node.children:
-            child = tree.node(c)
+            child = nodes[c]
             if child.detour <= tol:
                 kids.append((c, child.location.x, child.location.y))
         best = None
@@ -168,8 +170,8 @@ def _collapse_children_pairs(
             clean.discard(c2)
             # the median lies inside the bbox of the three endpoints, so
             # this box covers all three new edges
-            _note_change(changes, (node.location, tree.node(c1).location,
-                                   tree.node(c2).location))
+            _note_change(changes, (node.location, nodes[c1].location,
+                                   nodes[c2].location))
             gain += best_gain
             improved = True
     return gain
@@ -182,17 +184,18 @@ def _collapse_parent_child(
     changes: list[tuple[float, float, float, float]] | None,
     clean: set[int],
 ) -> float:
-    node = tree.node(nid)
+    nodes = tree.nodes
+    node = nodes[nid]
     if node.parent is None or node.detour > tol:
         return 0.0
-    parent = tree.node(node.parent)
+    parent = nodes[node.parent]
     px, py = parent.location.x, parent.location.y
     ux, uy = node.location.x, node.location.y
     d_pu = abs(px - ux) + abs(py - uy)
     best_gain = tol
     best = None
     for cid in node.children:
-        child = tree.node(cid)
+        child = nodes[cid]
         if child.detour > tol:
             continue
         cx, cy = child.location.x, child.location.y
@@ -215,7 +218,7 @@ def _collapse_parent_child(
     tree.reparent(nid, steiner)
     tree.reparent(cid, steiner)
     _note_change(changes, (parent.location, node.location,
-                           tree.node(cid).location))
+                           nodes[cid].location))
     if changes is not None:
         # Unlike the children-pair pattern, this collapse *shortens* the
         # path to cid: the new route p -> m -> c replaces p -> u -> c and
@@ -224,11 +227,10 @@ def _collapse_parent_child(
         # untouched — become easier attachment targets for movers whose
         # path-length budget test previously failed.  Flag each of them
         # so the reattachment pass's dirty-region skip stays exact.
-        stack = list(tree.node(cid).children)
+        stack = list(nodes[cid].children)
         while stack:
             wid = stack.pop()
-            w = tree.node(wid)
-            _note_change(changes, (tree.node(w.parent).location,
-                                   w.location))
+            w = nodes[wid]
+            _note_change(changes, (nodes[w.parent].location, w.location))
             stack.extend(w.children)
     return best_gain

@@ -44,9 +44,9 @@ class EdgeGridIndex:
     indexes later still fits; an edge that would not goes on the
     oversize list, which keeps the index exact for any input.
 
-    Edge boxes and lengths are measured at build time; the buckets are
-    filled on the first query, so a pass whose nodes are all skipped
-    never pays for them.
+    Edge boxes and lengths are measured at build time, which the
+    reattachment pass reaches only at its first evaluated node; the
+    buckets are filled on the first query.
     """
 
     def __init__(self, tree: RoutedTree):

@@ -161,15 +161,16 @@ def edge_reattach_pass(
     total_gain = 0.0
     n_skips = 0
     n_moves = 0
-    pl = tree.path_lengths()
-    index = EdgeGridIndex(tree)
+    # path lengths and the edge index are built at the first node that
+    # must be evaluated: a pass whose nodes are all clean needs neither
+    pl: dict[int, float] = {}
+    index: EdgeGridIndex | None = None
     events = state.events
     stamp = state.stamp
     clean = state.clean
     root = tree.root
-    node = tree.node
-    elen = index.elen
-    bbox = index.bbox
+    nodes = tree.nodes
+    edge_length = tree.edge_length
     improved = True
     passes = 0
     while improved and passes < 8:
@@ -178,7 +179,7 @@ def edge_reattach_pass(
         for vid in tree.preorder():
             if vid == root:
                 continue
-            v = node(vid)
+            v = nodes[vid]
             if v.detour > tol:
                 continue
             s = stamp.get(vid)
@@ -190,17 +191,23 @@ def edge_reattach_pass(
                 # dirty iff some changed region since the last evaluation
                 # intrudes into v's attachment radius
                 loc = v.location
+                # the index measures edges with edge_length's arithmetic
+                length = edge_length(vid) if index is None else elen[vid]
                 if not _events_touch(events, s, n_events,
-                                     loc.x, loc.y, elen[vid] - tol):
+                                     loc.x, loc.y, length - tol):
                     stamp[vid] = n_events
                     n_skips += 1
                     continue
+            if index is None:
+                pl = tree.path_lengths()
+                index = EdgeGridIndex(tree)
+                bbox, elen = index.bbox, index.elen
             move = _best_attachment_indexed(tree, pl, vid, tol, index)
             stamp[vid] = len(events)
             if move is None:
                 continue
             edge_child, q, gain, new_pl = move
-            parent_of_edge = node(edge_child).parent
+            parent_of_edge = nodes[edge_child].parent
             clean.discard(v.parent)
             split = _split_edge(tree, edge_child, q, tol)
             tree.reparent(vid, split)
@@ -225,7 +232,7 @@ def edge_reattach_pass(
                 nid = stack.pop()
                 pl[nid] += delta
                 events.append(bbox[nid])
-                stack.extend(node(nid).children)
+                stack.extend(nodes[nid].children)
             total_gain += gain
             n_moves += 1
             improved = True
@@ -233,9 +240,11 @@ def edge_reattach_pass(
     # per call — the inner loops above never touch shared state
     METRICS.inc("salt.dirty_skips", n_skips)
     METRICS.inc("salt.reattach_moves", n_moves)
-    METRICS.inc("salt.grid.queries", index.n_queries)
-    METRICS.inc("salt.grid.probed", index.n_probed)
-    METRICS.inc("salt.grid.pruned", index.n_probed - index.n_kept)
+    queries, probed, kept = ((0, 0, 0) if index is None else
+                             (index.n_queries, index.n_probed, index.n_kept))
+    METRICS.inc("salt.grid.queries", queries)
+    METRICS.inc("salt.grid.probed", probed)
+    METRICS.inc("salt.grid.pruned", probed - kept)
     if total_gain > 0.0:
         METRICS.observe("salt.reattach_gain_um", total_gain)
     return total_gain
@@ -266,8 +275,8 @@ def _best_attachment_indexed(
     tol: float,
     index: EdgeGridIndex,
 ) -> tuple[int, Point, float, float] | None:
-    node = tree.node
-    v = node(vid)
+    nodes = tree.nodes
+    v = nodes[vid]
     vx, vy = v.location.x, v.location.y
     current_cost = index.elen[vid]
     # An edge lies in v's subtree iff it is v's own edge or its parent is
@@ -282,7 +291,7 @@ def _best_attachment_indexed(
     for cid in index.candidates_within(vx, vy, current_cost - tol):
         if cid == vid:
             continue
-        child = node(cid)
+        child = nodes[cid]
         parent_id = child.parent
         if parent_id is None or parent_id == vid or child.detour > tol:
             continue
@@ -296,7 +305,7 @@ def _best_attachment_indexed(
                 blocked = _subtree_of(tree, vid)
             if parent_id in blocked:
                 continue
-        ploc = node(parent_id).location
+        ploc = nodes[parent_id].location
         cloc = child.location
         qx, qy, walk, d = _nearest_on_l(ploc.x, ploc.y, cloc.x, cloc.y,
                                         vx, vy)
@@ -316,12 +325,13 @@ def _best_attachment_indexed(
 
 def _subtree_of(tree: RoutedTree, vid: int) -> set[int]:
     """Ids of ``vid`` and all its descendants."""
+    nodes = tree.nodes
     seen = {vid}
-    stack = list(tree.node(vid).children)
+    stack = list(nodes[vid].children)
     while stack:
         nid = stack.pop()
         seen.add(nid)
-        stack.extend(tree.node(nid).children)
+        stack.extend(nodes[nid].children)
     return seen
 
 

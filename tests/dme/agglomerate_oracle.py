@@ -1,8 +1,8 @@
 """Scalar reference for the DME merge-topology agglomeration.
 
 This is the pairwise double loop — every cluster pair costed each merge
-step — that ``repro.dme.topology._agglomerate_batched`` replaced with a
-cost matrix.  It is kept verbatim as the test oracle: the production
+step — that ``repro.dme.topology._agglomerate_rowmin`` replaced with
+cached row minima.  It is kept verbatim as the test oracle: the production
 generators must reproduce its merge sequence exactly, ties included.
 """
 
@@ -19,8 +19,8 @@ def _agglomerate(
     sinks: list[Sink], cost: Callable[[_Cluster, _Cluster], float]
 ) -> TopologyNode:
     """Reference scalar agglomeration, kept as the equivalence oracle
-    for :func:`_agglomerate_batched` (see
-    ``tests/dme/test_topology_batched_property.py``)."""
+    for :func:`_agglomerate_rowmin` (see
+    ``tests/dme/test_topology_rowmin_property.py``)."""
     if not sinks:
         raise ValueError("cannot build a topology over zero sinks")
     clusters = [_leaf_cluster(s) for s in sinks]

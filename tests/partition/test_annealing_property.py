@@ -15,6 +15,8 @@ points on and around the hull's tolerance band, caps drawn from a few
 values, empty and single-sink nets, and one-net partitions.
 """
 
+from unittest import mock
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import Point
@@ -111,3 +113,22 @@ def _run(anneal, nets, cfg):
 def test_anneal_partition_matches_oracle(nets, cfg):
     assert _run(anneal_partition, nets, cfg) == \
         _run(sa_oracle.anneal_partition, nets, cfg)
+
+
+@given(nets=partitions(), cfg=configs)
+@settings(max_examples=100, deadline=None)
+def test_anneal_cost_drop_matches_oracle(nets, cfg):
+    """The observed cost drop reads the best state's cost, which the
+    kernel keeps as it goes instead of re-pricing the returned state;
+    both must give the reference's float."""
+
+    def observed(anneal):
+        seen = []
+        with mock.patch.object(
+                METRICS, "observe",
+                lambda name, value: seen.append((name, repr(value)))):
+            anneal(_clusters(nets), cfg)
+        return seen
+
+    assert observed(anneal_partition) == \
+        observed(sa_oracle.anneal_partition)
