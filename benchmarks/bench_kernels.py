@@ -20,7 +20,10 @@ traced benchmark's ``core.cbs_calls.le8/le16/le32`` buckets:
 * ``anneal_partition`` (paper Fig. 4, the flow's 200 iterations) on
   the level-0 partitions the flow hands it: 4 and 8 nets of about 32
   sinks (``s38584`` and ``salsa20`` at scale 0.1, the shape of a
-  ``sweep_cold`` point) and ethernet's 313 nets (10,015 sinks).
+  ``sweep_cold`` point) and ethernet's 313 nets (10,015 sinks);
+* ``balanced_assign`` (the exact capacitated assignment of Section
+  3.2) on ethernet's 16 level-0 spatial blocks after Lloyd: 608-640
+  points, 19-20 centers of capacity 32, as balanced K-means calls it.
 
 A batched arm of either kernel has to win here, and in the flow, before
 it replaces the scalar one.  Run with::
@@ -33,6 +36,7 @@ the benches cannot rot.
 
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -46,7 +50,7 @@ from repro.dme.topology import greedy_dist
 from repro.geometry import Point
 from repro.netlist import Sink
 from repro.flowguard.diagnostics import FlowDiagnostics
-from repro.partition import anneal_partition
+from repro.partition import anneal_partition, balanced_assign
 from repro.salt import refine
 from repro.tech import Technology, default_library
 from repro.timing import ElmoreAnalyzer
@@ -173,3 +177,35 @@ def test_anneal_partition(benchmark, sa_partition):
         anneal_partition, args=(clusters, cfg), rounds=10, iterations=1)
     assert len(trace) == cfg.iterations + 1 == 201
     assert sum(c.size for c in refined) == sum(c.size for c in clusters)
+
+
+@pytest.fixture(scope="module")
+def ethernet_assignments():
+    """The ``balanced_assign`` calls of ethernet's level-0 partition:
+    each spatial block's points and Lloyd centers, captured as balanced
+    K-means makes them."""
+    calls = []
+
+    def capture(points, centers, capacity):
+        calls.append((points, centers, capacity))
+        return balanced_assign(points, centers, capacity)
+
+    design = load_design("ethernet")
+    flow = HierarchicalCTS(config=FlowConfig(use_sa=False), jobs=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("repro.partition.kmeans"),
+                   "balanced_assign", capture)
+        flow._partition(design.sinks, 0, FlowDiagnostics())
+    return calls
+
+
+def test_balanced_assign_ethernet_blocks(benchmark, ethernet_assignments):
+    def run():
+        return [balanced_assign(points, centers, capacity=capacity)
+                for points, centers, capacity in ethernet_assignments]
+
+    solved = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert len(solved) == 16
+    for (points, _, capacity), labels in zip(ethernet_assignments, solved):
+        assert len(labels) == len(points)
+        assert max(Counter(labels).values()) <= capacity

@@ -534,15 +534,13 @@ class HierarchicalCTS:
             max_size = max(2, max_size // 2)
 
         sa_cfg = self._sa_config(level)
-        before = total_cost(clusters, sa_cfg)
         if cfg.use_sa and len(clusters) > 1:
-            clusters, _trace = anneal_partition(clusters, sa_cfg)
-            # recompute from the returned state: the trace is built from
-            # incremental deltas, so quoting min(trace) could report a
-            # cost the returned clusters do not actually have
-            after = total_cost(clusters, sa_cfg)
+            clusters, trace = anneal_partition(clusters, sa_cfg)
+            # the trace opens with total_cost of the input clusters, and
+            # its minimum is total_cost of the returned ones, bit for bit
+            before, after = trace[0], min(trace)
         else:
-            after = before
+            before = after = total_cost(clusters, sa_cfg)
         return [c for c in clusters if c.sinks], before, after
 
     def _sa_config(self, level: int) -> SAConfig:

@@ -95,23 +95,20 @@ def generate_design(spec: DesignSpec, scale: float = 1.0) -> Design:
 
     n_clustered = int(n_ffs * CLUSTER_FRACTION)
     n_uniform = n_ffs - n_clustered
-    points: list[tuple[float, float]] = []
 
     n_modules = max(1, round(n_clustered / FFS_PER_MODULE))
     module_centers = rng.uniform(0.12 * side, 0.88 * side, size=(n_modules, 2))
     module_sigma = side / max(4.0, 2.0 * math.sqrt(n_modules))
-    for i in range(n_clustered):
-        cx, cy = module_centers[i % n_modules]
-        x = float(np.clip(rng.normal(cx, module_sigma), 0.0, side))
-        y = float(np.clip(rng.normal(cy, module_sigma), 0.0, side))
-        points.append((x, y))
-    for _ in range(n_uniform):
-        points.append((float(rng.uniform(0, side)), float(rng.uniform(0, side))))
-
-    caps = np.clip(rng.normal(1.0, 0.15, size=len(points)), 0.5, 2.0)
+    # array draws fill row by row, x then y of each flip-flop: the
+    # stream order (and floats) of one scalar draw per coordinate
+    loc = module_centers[np.arange(n_clustered) % n_modules]
+    clustered = np.clip(rng.normal(loc, module_sigma), 0.0, side)
+    background = rng.uniform(0, side, size=(n_uniform, 2))
+    caps = np.clip(rng.normal(1.0, 0.15, size=n_ffs), 0.5, 2.0)
+    points = np.concatenate((clustered, background)).tolist()
     sinks = [
-        Sink(f"{spec.name}_ff{i}", Point(x, y), cap=float(c))
-        for i, ((x, y), c) in enumerate(zip(points, caps))
+        Sink(f"{spec.name}_ff{i}", Point(x, y), cap=c)
+        for i, ((x, y), c) in enumerate(zip(points, caps.tolist()))
     ]
     return Design(
         spec=spec,

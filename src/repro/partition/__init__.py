@@ -4,7 +4,8 @@
   deterministic) followed by capacity-respecting assignment, run on
   spatial blocks of at most 1,024 points;
 * :mod:`mcf` — capacitated balanced assignment, the min-cost-flow step,
-  solved exactly by rectangular assignment (scipy);
+  solved exactly by rectangular assignment (scipy's compiled ``_lsap``,
+  loaded without the ``scipy.optimize`` package);
 * :mod:`clustering` — the latency/capacitance-adaptive clustering cost
   Cost^k = p * var(Cap^k) + q * var(T^k) and a silhouette score;
 * :mod:`annealing` — the simulated-annealing refinement with convex-hull

@@ -6,15 +6,63 @@ total Manhattan distance, solved exactly by scipy's rectangular
 assignment on capacity-duplicated center columns.  The flow never asks
 for more than one spatial block (``repro.partition.kmeans._BLOCK``
 points) at a time, so the expanded matrix stays small.
+
+The solver is scipy's compiled ``_lsap`` extension, loaded from the
+installed scipy's ``optimize`` directory without running that
+package's ``__init__``: the package import pulls in some 530 modules
+(about 0.5 s and 43 MB per process) that no run uses.  It is the very
+function ``scipy.optimize.linear_sum_assignment`` names, so results are
+scipy's; no other exact solver could stand in, because the
+capacity-duplicated matrix is full of ties and another solver breaks
+them differently (docs/ALGORITHMS.md, "Partition").
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+from importlib.machinery import (
+    EXTENSION_SUFFIXES,
+    ExtensionFileLoader,
+    FileFinder,
+)
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.geometry import Point
 from repro.obs.metrics import METRICS
+
+def _scipy_optimize_dir() -> str | None:
+    """The installed scipy's ``optimize`` directory, found without
+    importing scipy; ``None`` when scipy is not installed as files."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    return os.path.join(spec.submodule_search_locations[0], "optimize")
+
+
+def _load_linear_sum_assignment(directory: str | None):
+    """``linear_sum_assignment`` from the ``_lsap`` extension file in
+    ``directory``, or the public ``scipy.optimize`` one when there is
+    no such file.
+
+    CPython registers the loaded module as ``scipy.optimize._lsap``, so
+    a later ``import scipy.optimize`` in the process reuses it.
+    """
+    spec = None
+    if directory is not None:
+        finder = FileFinder(directory,
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.optimize._lsap")
+    if spec is None:
+        from scipy.optimize import linear_sum_assignment as public
+        return public
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_linear_sum_assignment(_scipy_optimize_dir())
 
 #: Most entries the capacity-expanded cost matrix may hold (n x
 #: k*capacity float64s, 320 MB); a larger instance is refused rather

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.designs import (
     TABLE4_SPECS,
@@ -11,7 +13,12 @@ from repro.designs import (
     generate_design,
     load_design,
 )
-from repro.designs.generator import AVG_CELL_AREA, DesignSpec
+from repro.designs.generator import (
+    AVG_CELL_AREA,
+    CLUSTER_FRACTION,
+    FFS_PER_MODULE,
+    DesignSpec,
+)
 
 
 def test_catalog_matches_table4():
@@ -78,6 +85,100 @@ def test_fingerprint_identifies_design_content():
     assert a != design_fingerprint("s38584", 0.06)  # scale-sensitive
     assert a != design_fingerprint("s38417", 0.05)  # design-sensitive
     assert len(a) == 64  # hex sha256
+
+
+#: ``design_fingerprint`` of every catalog design at scales 0.1 and 1.0,
+#: as the scalar draw-per-coordinate generator produced them.  Sweep
+#: record keys, served cache keys and the committed sweep expectation
+#: rest on these absolute values, so a generator change that reorders
+#: the rng stream (or rounds a coordinate differently) must fail here
+#: rather than silently invalidate every stored record.
+CATALOG_FINGERPRINTS = {
+    ("s38584", 0.1):
+        "8c51e60264da1156c2e2860db3010115ff74f05cc34fd464f8972dc733301a35",
+    ("s38417", 0.1):
+        "12a95945aba4266910ca4e8705bec6b74252d8418007440c23eb3ff972d2c3f1",
+    ("s35932", 0.1):
+        "18f9e5d39bd0db02f5c899521075c39ef5fff390cc65fd06a5e0d4b1434fb87e",
+    ("salsa20", 0.1):
+        "9b7993fef24ecd687245c414c911a89d186929cdb14d116d2b17c464273c5e3d",
+    ("ethernet", 0.1):
+        "955ac7a082ce7506bc632f6307d196b010f02626c290b94e7146f955a743e18e",
+    ("vga_lcd", 0.1):
+        "225ed9e4d3977b29bfca06c43fbb22881adb5433a5483291e0162a7197568acf",
+    ("ysyx_0", 0.1):
+        "69f760c66aec9520d314fc21ce20f78c39bd2cfef7d0c2c7bcc33a185f8acee3",
+    ("ysyx_1", 0.1):
+        "e7f7eca2761b561df2cbbb36785e90a9850ba647b5ca7ddca8788b8456f362fd",
+    ("ysyx_2", 0.1):
+        "e22c526025c3bce7d8e3597452283ecc67999c89c05d8fb60b9cde490311ad1a",
+    ("ysyx_3", 0.1):
+        "eefc2d48ff13b1bb83c6141d598945c1464618ba7b27f53701a06fa1d6d245c5",
+    ("s38584", 1.0):
+        "b79e72d10f9541519eb6544258f284b64626dcebec4ac44e6cd369e2bf110f15",
+    ("s38417", 1.0):
+        "d92fb8bf18cdbeb0bf0780a3d6b205ed30c00d3aa9fea19a8c88160d5563f975",
+    ("s35932", 1.0):
+        "dd47f917d27ad835e1da3e38205096ef4b5bd447ceaae4b78e9e029763acb544",
+    ("salsa20", 1.0):
+        "2474abfae2228e4d1a3dfcb4abc8cbc4e4fb78eadb0e4ce5f35f5bd399505b10",
+    ("ethernet", 1.0):
+        "7603e48ce67a495a150b42507bcb4b943b141462ae3b2db9837fad55450c71a8",
+    ("vga_lcd", 1.0):
+        "f8780909f4602c13e7a509cbaba5ff003b27fa8c5e8ae37ad11305c5965cc1af",
+    ("ysyx_0", 1.0):
+        "7f00c54b84bd9772a9df80016f4b062de5760b9c136b64912b0c3ad341355a5b",
+    ("ysyx_1", 1.0):
+        "a11a8551bd044683eb5dd6f808f93a72560083089a43988d0a956ed665169d97",
+    ("ysyx_2", 1.0):
+        "2afd1dfb1839c6122f4fb63af957f27a0e19ad2f0ac5a1d2519162b12426c8a6",
+    ("ysyx_3", 1.0):
+        "52ec9eb3d5d403bd880abb27e623cf83f414d274b552f8ed49f9168f79c4c283",
+}
+
+
+@pytest.mark.parametrize(("name", "scale"), sorted(CATALOG_FINGERPRINTS),
+                         ids=lambda v: str(v))
+def test_catalog_fingerprint_pinned(name, scale):
+    assert design_fingerprint(name, scale) == \
+        CATALOG_FINGERPRINTS[name, scale]
+
+
+def _scalar_placement(spec: DesignSpec, scale: float):
+    """The generator's reference: one scalar draw per coordinate, x then
+    y of each flip-flop, then the pin caps."""
+    n_ffs = max(2, int(round(spec.num_ffs * scale)))
+    side = spec.die_side() * math.sqrt(scale)
+    rng = np.random.default_rng(spec.seed + 0xC75)
+    n_clustered = int(n_ffs * CLUSTER_FRACTION)
+    points = []
+    n_modules = max(1, round(n_clustered / FFS_PER_MODULE))
+    module_centers = rng.uniform(0.12 * side, 0.88 * side, size=(n_modules, 2))
+    module_sigma = side / max(4.0, 2.0 * math.sqrt(n_modules))
+    for i in range(n_clustered):
+        cx, cy = module_centers[i % n_modules]
+        x = float(np.clip(rng.normal(cx, module_sigma), 0.0, side))
+        y = float(np.clip(rng.normal(cy, module_sigma), 0.0, side))
+        points.append((x, y))
+    for _ in range(n_ffs - n_clustered):
+        points.append((float(rng.uniform(0, side)),
+                       float(rng.uniform(0, side))))
+    caps = np.clip(rng.normal(1.0, 0.15, size=len(points)), 0.5, 2.0)
+    return [(repr(x), repr(y), repr(float(c)))
+            for (x, y), c in zip(points, caps)]
+
+
+@given(num_ffs=st.integers(2, 700), num_insts=st.integers(10, 5000),
+       utilization=st.floats(0.3, 0.95), seed=st.integers(0, 2**16),
+       scale=st.sampled_from((0.01, 0.1, 0.37, 1.0)))
+@settings(max_examples=60, deadline=None)
+def test_generator_matches_scalar_reference(num_ffs, num_insts, utilization,
+                                            seed, scale):
+    spec = DesignSpec("d", num_insts=num_insts, num_ffs=num_ffs,
+                      utilization=utilization, seed=seed)
+    design = generate_design(spec, scale=scale)
+    assert [(repr(s.location.x), repr(s.location.y), repr(s.cap))
+            for s in design.sinks] == _scalar_placement(spec, scale)
 
 
 def test_sinks_are_clustered():

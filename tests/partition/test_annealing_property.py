@@ -19,10 +19,14 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cts import FlowConfig, HierarchicalCTS
+from repro.cts.constraints import Constraints
+from repro.flowguard.diagnostics import FlowDiagnostics
 from repro.geometry import Point
 from repro.netlist import Sink
 from repro.obs.metrics import METRICS
 from repro.partition import Cluster, SAConfig, anneal_partition
+from repro.partition.annealing import total_cost
 from tests.geometry.test_hull_property import FAMILIES
 from tests.partition import sa_oracle
 
@@ -132,3 +136,35 @@ def test_anneal_cost_drop_matches_oracle(nets, cfg):
 
     assert observed(anneal_partition) == \
         observed(sa_oracle.anneal_partition)
+
+
+@given(nets=partitions(), cfg=configs)
+@settings(max_examples=150, deadline=None)
+def test_level_sa_costs_equal_total_cost(nets, cfg):
+    """The flow quotes a level's SA costs from the annealer's trace
+    instead of pricing the level twice more: the cost before SA must be
+    ``total_cost`` of the clusters handed in, and the cost after it
+    ``total_cost`` of the state SA hands back, both by ``repr``."""
+    clusters = _clusters(nets)
+    sinks = [s for c in clusters for s in c.sinks]
+    centers = [c.center for c in clusters]
+    labels = [j for j, c in enumerate(clusters) for _ in c.sinks]
+    flow = HierarchicalCTS(
+        constraints=Constraints(max_fanout=cfg.max_fanout,
+                                max_cap=cfg.max_cap,
+                                max_length=cfg.max_length),
+        config=FlowConfig(
+            sa_iterations=cfg.iterations, seed=cfg.seed,
+            partitioner=lambda points, max_size, seed: (centers, labels)),
+        jobs=1,
+    )
+    kept, before, after = flow._partition_inner(sinks, 0, FlowDiagnostics())
+    sa_cfg = flow._sa_config(0)
+    # the state SA hands back (empty nets included), or the input when
+    # a one-net level skips SA
+    handed_back = (anneal_partition(_clusters(nets), sa_cfg)[0]
+                   if len(clusters) > 1 else clusters)
+    assert [[s.name for s in c.sinks] for c in kept] == \
+        [[s.name for s in c.sinks] for c in handed_back if c.sinks]
+    assert repr(before) == repr(total_cost(clusters, sa_cfg))
+    assert repr(after) == repr(total_cost(handed_back, sa_cfg))
