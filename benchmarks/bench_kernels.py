@@ -1,5 +1,6 @@
 """Microbench: CBS construction, ``refine``, skew repair, the DME merge
-topology, Elmore analysis and SA partition refinement at the flow's sizes.
+topology, Elmore analysis, the post-routing stage and SA partition
+refinement at the flow's sizes.
 
 The hierarchical flow routes nets of at most ``max_fanout`` = 32 sinks,
 so its per-net kernels only ever see trees of a few dozen nodes.  This
@@ -17,6 +18,9 @@ traced benchmark's ``core.cbs_calls.le8/le16/le32`` buckets:
   would show;
 * ``ElmoreAnalyzer.analyze`` on each routed net with its root driver
   placed, as the flow analyzes it;
+* the post-routing stage on a fresh copy of each routed net:
+  ``split_long_edges``, ``place_driver`` and ``check_and_repair`` (whose
+  analysis is the net's one timing view), as the flow runs them;
 * ``anneal_partition`` (paper Fig. 4, the flow's 200 iterations) on
   the level-0 partitions the flow hands it: 4 and 8 nets of about 32
   sinks (``s38584`` and ``salsa20`` at scale 0.1, the shape of a
@@ -40,15 +44,16 @@ from collections import Counter
 
 import pytest
 
-from repro.buffering import place_driver
+from repro.buffering import place_driver, split_long_edges
 from repro.core import cbs
-from repro.cts import FlowConfig, HierarchicalCTS
+from repro.cts import TABLE5, FlowConfig, HierarchicalCTS
 from repro.designs import load_design
 from repro.dme import ElmoreDelay
 from repro.dme.repair import repair_skew
 from repro.dme.topology import greedy_dist
 from repro.geometry import Point
 from repro.netlist import Sink
+from repro.flowguard import check_and_repair
 from repro.flowguard.diagnostics import FlowDiagnostics
 from repro.partition import anneal_partition, balanced_assign
 from repro.salt import refine
@@ -156,6 +161,31 @@ def test_analyze_cbs_nets(benchmark, cbs_nets):
     _, routed, _, _ = cbs_nets
     analyzer = ElmoreAnalyzer(TECH)
     reports = benchmark(lambda: [analyzer.analyze(t) for t in routed])
+    assert len(reports) == NETS_PER_SIZE
+    assert all(r.skew >= 0.0 for r in reports)
+
+
+def test_post_routing_cbs_nets(benchmark, cbs_nets):
+    _, routed, _, _ = cbs_nets
+    lib = default_library()
+    span = TABLE5.effective_span(TECH)
+    slew = FlowConfig().source_slew
+
+    def fresh_copies():
+        return ([t.copy() for t in routed],), {}
+
+    def run(trees):
+        reports = []
+        for tree in trees:
+            split_long_edges(tree, lib, TECH, span, slew)
+            place_driver(tree, lib, TECH)
+            _, report = check_and_repair(tree, TABLE5, TECH, lib,
+                                         source_slew=slew)
+            reports.append(report)
+        return reports
+
+    reports = benchmark.pedantic(run, setup=fresh_copies, rounds=20,
+                                 iterations=1)
     assert len(reports) == NETS_PER_SIZE
     assert all(r.skew >= 0.0 for r in reports)
 

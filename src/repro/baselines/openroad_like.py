@@ -19,7 +19,7 @@ by far the most buffer area.
 
 from __future__ import annotations
 
-from repro.buffering.insertion import place_driver, split_long_edges, _subtree_cap
+from repro.buffering.insertion import place_driver, split_long_edges
 from repro.cts.constraints import Constraints, TABLE5
 from repro.cts.framework import CTSResult, LevelStats, graft_subtrees
 from repro.geometry import Point, manhattan_center
@@ -102,14 +102,24 @@ def openroad_like_cts(
                 # 3. buffer trunk branch points whose accumulated load
                 #    warrants a stage, children before parents so each stage
                 #    load is already cut at the freshly inserted buffers
-                #    below; the generous safety factor yields the "fewer
+                #    below (one postorder pass sums the loads as it places
+                #    them); the generous safety factor yields the "fewer
                 #    levels, larger buffers" TritonCTS signature
                 threshold = 0.5 * constraints.max_cap
+                stage_cap: dict[int, float] = {}
                 for nid in trunk.postorder():
                     node = trunk.node(nid)
+                    load = node.sink.cap if node.sink is not None else 0.0
+                    for child_id in node.children:
+                        child = trunk.node(child_id)
+                        load += tech.wire_cap(trunk.edge_length(child_id))
+                        if child.is_buffer:
+                            load += child.buffer.input_cap
+                        else:
+                            load += stage_cap[child_id]
+                    stage_cap[nid] = load
                     if node.is_sink or node.is_buffer:
                         continue
-                    load = _subtree_cap(trunk, nid, tech)
                     if load > threshold or nid == trunk.root:
                         node.buffer = library.smallest_driving(
                             load * DRIVE_SAFETY

@@ -12,10 +12,7 @@ import math
 
 from repro.tech.buffer_library import BufferLibrary, BufferType
 from repro.tech.technology import LN9, Technology
-from repro.timing.buffer_model import (
-    insertion_delay_lower_bound,
-    refined_critical_wirelength,
-)
+from repro.timing.buffer_model import insertion_delay_lower_bound
 
 
 def driver_for_load(
@@ -40,13 +37,6 @@ def insertion_delay_estimate(lib: BufferLibrary, cap_load: float) -> float:
     so the upper level balances against a provisional-but-safe delay.
     """
     return insertion_delay_lower_bound(lib, cap_load)
-
-
-def max_unbuffered_length(
-    buf: BufferType, tech: Technology, cap_load: float
-) -> float:
-    """L-hat(i,j): longest span worth driving before a repeater pays off."""
-    return refined_critical_wirelength(buf, tech, cap_load)
 
 
 def max_span_for_slew(tech: Technology, max_slew: float) -> float:

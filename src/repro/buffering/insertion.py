@@ -21,48 +21,33 @@ from repro.netlist.tree import RoutedTree
 from repro.obs.metrics import METRICS
 from repro.tech.buffer_library import BufferLibrary, BufferType
 from repro.tech.technology import Technology
+from repro.timing.elmore import downstream_stage_cap
 from repro.buffering.estimation import driver_for_load
+
+
+#: The driver covers its stage load with this much headroom.
+DRIVER_HEADROOM = 1.2
 
 
 def place_driver(
     tree: RoutedTree,
     lib: BufferLibrary,
     tech: Technology,
-    slew_in: float = 10.0,
-    headroom: float = 1.2,
 ) -> BufferType:
     """Attach the minimum-area adequate driver at the tree root.
 
-    The weakest buffer whose drive limit covers the load (with 20%
-    headroom by default) is used: clock distribution pays for oversized
-    drivers twice, in area and in the input cap the level above must
-    drive, so delay-optimal sizing is reserved for explicit calls to
-    :func:`repro.buffering.estimation.driver_for_load`.
+    The weakest buffer whose drive limit covers the load with
+    :data:`DRIVER_HEADROOM` is used: clock distribution pays for
+    oversized drivers twice, in area and in the input cap the level
+    above must drive, so delay-optimal sizing is reserved for explicit
+    calls to :func:`repro.buffering.estimation.driver_for_load`.
     """
-    load = _subtree_cap(tree, tree.root, tech)
-    driver = lib.smallest_driving(load * headroom)
+    load = downstream_stage_cap(tree, tech)[tree.root]
+    driver = lib.smallest_driving(load * DRIVER_HEADROOM)
     tree.set_buffer(tree.root, driver)
     METRICS.inc("buffer.drivers")
     METRICS.observe("buffer.driver_load_ff", load)
     return driver
-
-
-def _subtree_cap(tree: RoutedTree, nid: int, tech: Technology) -> float:
-    """Capacitance below ``nid``, cutting at buffers (their input cap)."""
-    total = 0.0
-    stack = [nid]
-    while stack:
-        cur = stack.pop()
-        node = tree.node(cur)
-        if cur != nid and node.is_buffer:
-            total += node.buffer.input_cap
-            continue
-        if node.sink is not None:
-            total += node.sink.cap
-        for child in node.children:
-            total += tech.wire_cap(tree.edge_length(child))
-            stack.append(child)
-    return total
 
 
 def split_long_edges(
@@ -77,6 +62,7 @@ def split_long_edges(
     if max_span <= 0:
         raise ValueError(f"max_span must be positive, got {max_span}")
     inserted = 0
+    cap_below: dict[int, float] | None = None
     for nid in list(tree.preorder()):
         node = tree.node(nid)
         if node.parent is None or node.detour > 1e-9:
@@ -87,7 +73,12 @@ def split_long_edges(
         segments = int(math.ceil(length / max_span))
         parent_id = node.parent
         parent_loc = tree.node(parent_id).location
-        downstream = _subtree_cap(tree, nid, tech)
+        if cap_below is None:
+            # one walk serves every edge: preorder reaches an edge before
+            # any edge below it, and repeaters go in only above the node
+            # being split, so no later edge's stage changes
+            cap_below = downstream_stage_cap(tree, tech)
+        downstream = cap_below[nid]
         # place repeaters at even fractions along the L-route parent->node
         current_parent = parent_id
         for i in range(1, segments):

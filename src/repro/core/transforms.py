@@ -49,7 +49,7 @@ def fit_ps_per_um(
     tree: RoutedTree, tech: Technology, source_slew: float = 10.0
 ) -> DomainFit:
     """Least-squares fit of Elmore sink delay against sink path length."""
-    report = ElmoreAnalyzer(tech, source_slew).analyze(tree)
+    report = ElmoreAnalyzer(tech).analyze(tree, source_slew)
     pls = tree.sink_path_lengths()
     if len(pls) < 2:
         raise ValueError("need at least two sinks to fit a slope")

@@ -43,8 +43,8 @@ def evaluate_solution(
     runtime_s: float = 0.0,
     source_slew: float = 10.0,
 ) -> SolutionReport:
-    """Score a routed-and-buffered clock tree."""
-    report = ElmoreAnalyzer(tech, source_slew).analyze(tree)
+    """Score a routed-and-buffered clock tree, driven at ``source_slew``."""
+    report = ElmoreAnalyzer(tech).analyze(tree, source_slew)
     buffers = [tree.node(nid).buffer for nid in tree.buffer_node_ids()]
     return SolutionReport(
         latency_ps=report.latency,
@@ -57,12 +57,12 @@ def evaluate_solution(
     )
 
 
-def evaluate_result(
-    result: CTSResult, tech: Technology, source_slew: float = 10.0
-) -> SolutionReport:
-    """Convenience wrapper carrying the run's measured runtime."""
+def evaluate_result(result: CTSResult, tech: Technology) -> SolutionReport:
+    """Score a run's tree at the source slew it was built for, carrying
+    the run's measured runtime."""
     return evaluate_solution(
-        result.tree, tech, runtime_s=result.runtime_s, source_slew=source_slew
+        result.tree, tech, runtime_s=result.runtime_s,
+        source_slew=result.source_slew,
     )
 
 
@@ -76,4 +76,5 @@ def audit_solution(
 
     Returns the violations found — empty means the tree is DRC-clean
     under ``constraints``.  This is what ``repro check`` runs."""
-    return check_tree(tree, constraints, tech, source_slew=source_slew)
+    report = ElmoreAnalyzer(tech).analyze(tree, source_slew)
+    return check_tree(tree, constraints, tech, report)

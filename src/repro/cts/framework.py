@@ -65,7 +65,7 @@ from repro.partition.clustering import Cluster, cluster_cap
 from repro.partition.kmeans import balanced_kmeans
 from repro.tech.buffer_library import BufferLibrary, default_library
 from repro.tech.technology import Technology
-from repro.timing.elmore import ElmoreAnalyzer
+from repro.timing.elmore import TimingReport
 
 _LOG = get_logger("cts")
 
@@ -205,6 +205,7 @@ class CTSResult:
     diagnostics: FlowDiagnostics | None = None
     top_buffers: int = 0          # buffers inserted on the top (source) net
     health: RunHealth | None = None  # what the execution fabric absorbed
+    source_slew: float = 10.0     # ps at the source the tree was built for
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +249,6 @@ class HierarchicalCTS:
         library: BufferLibrary | None = None,
         constraints: Constraints = TABLE5,
         config: FlowConfig | None = None,
-        analyzer: ElmoreAnalyzer | None = None,
         jobs: int = 0,
         policy: FabricPolicy | None = None,
         fabric_chaos: FabricChaos | None = None,
@@ -257,10 +257,6 @@ class HierarchicalCTS:
         self._lib = library or default_library()
         self._constraints = constraints
         self._config = config or FlowConfig()
-        self._custom_analyzer = analyzer is not None
-        self._analyzer = analyzer or ElmoreAnalyzer(
-            self._tech, self._config.source_slew
-        )
         self._jobs = jobs
         self._policy = policy
         self._fabric_chaos = fabric_chaos
@@ -355,20 +351,21 @@ class HierarchicalCTS:
             diagnostics=diag,
             top_buffers=top_buffers,
             health=pool.health if pool is not None else RunHealth(),
+            source_slew=self._config.source_slew,
         )
 
     def _workers(self) -> int:
         """Worker processes for this run's cluster pool (1 = no pool).
 
         An explicit ``jobs`` is taken verbatim.  Auto (``jobs < 1``)
-        means one per usable CPU, except while the engine holds a user
-        callable: forked copies of a stateful router, partitioner or
-        analyzer (a fault injector, a call counter) would diverge from
-        the serial run, so auto stays serial.
+        means one per usable CPU, except while the config holds a user
+        callable: forked copies of a stateful router or partitioner (a
+        fault injector, a call counter) would diverge from the serial
+        run, so auto stays serial.
         """
-        if self._jobs < 1 and (self._custom_analyzer or any(
+        if self._jobs < 1 and any(
                 getattr(self._config, name) is not None
-                for name in _CALLABLE_FIELDS)):
+                for name in _CALLABLE_FIELDS):
             return 1
         return resolve_jobs(self._jobs)
 
@@ -612,23 +609,15 @@ class HierarchicalCTS:
         chain: RouterFallbackChain,
         diag: FlowDiagnostics,
     ) -> tuple[Sink, RoutedTree, int, float]:
-        cfg = self._config
         tap = manhattan_center([s.location for s in cluster.sinks])
         net = ClockNet(name, tap, cluster.sinks)
         with diag.timed("route", level=level, net=name):
             tree = chain.route(net, ElmoreDelay(self._tech), level=level)
         METRICS.observe("cts.cluster_wl_um", tree.wirelength())
         nbuf = self._buffer_tree(tree, level, name, diag)
-        with diag.timed("check", level=level, net=name):
-            check_and_repair(
-                tree, self._constraints, self._tech, self._lib,
-                budget=cfg.repair_budget, diagnostics=diag,
-                level=level, net=name, source_slew=cfg.source_slew,
-            )
+        report = self._check(tree, level, name, diag)
         driver = tree.node(tree.root).buffer  # repair may have re-sized it
-        subtree_delay, routed_cap = self._subtree_delay(
-            tree, level, name, diag
-        )
+        subtree_delay, routed_cap = self._subtree_delay(tree, report)
         driver_sink = Sink(
             name=name,
             location=tap,
@@ -657,7 +646,7 @@ class HierarchicalCTS:
                 )
                 nbuf = 0
             try:
-                place_driver(tree, self._lib, self._tech, cfg.source_slew)
+                place_driver(tree, self._lib, self._tech)
             except Exception as exc:  # noqa: BLE001
                 diag.record(
                     "buffer", "downgrade", level=level, net=name,
@@ -667,47 +656,45 @@ class HierarchicalCTS:
                 tree.set_buffer(tree.root, self._lib.weakest)
         return nbuf + 1
 
-    def _subtree_delay(
+    def _check(
         self, tree: RoutedTree, level: int, name: str, diag: FlowDiagnostics
+    ) -> TimingReport | None:
+        """Check and repair ``tree`` in place; returns the analysis of the
+        tree it leaves, the net's one timing view, or None (recorded as
+        a downgrade) where the analysis raised."""
+        cfg = self._config
+        with diag.timed("check", level=level, net=name):
+            try:
+                _residual, report = check_and_repair(
+                    tree, self._constraints, self._tech, self._lib,
+                    budget=cfg.repair_budget, diagnostics=diag,
+                    level=level, net=name, source_slew=cfg.source_slew,
+                )
+            except Exception as exc:  # noqa: BLE001
+                diag.record(
+                    "analyze", "downgrade", level=level, net=name,
+                    detail=f"timing analysis failed ({exc}); "
+                           f"zero insertion estimate and load",
+                )
+                return None
+        return report
+
+    def _subtree_delay(
+        self, tree: RoutedTree, report: TimingReport | None
     ) -> tuple[float, float]:
         """Eq. (7) insertion estimate (or exact Eq. (6) latency) and the
-        root driver's stage load, from one analysis, guarded: an
-        analyzer failure degrades to a zero estimate and a zero load
-        rather than aborting the run."""
-        cfg = self._config
-        try:
-            with diag.timed("analyze", level=level, net=name):
-                report = self._analyzer.analyze(tree)
-                arrivals = report.sink_arrival.values()
-                if arrivals:
-                    METRICS.observe(
-                        "cts.cluster_skew_ps", max(arrivals) - min(arrivals)
-                    )
-                load = report.stage_load.get(tree.root, 0.0)
-                if not cfg.use_insertion_estimate:
-                    return report.latency, load
-                # Eq. (7): provisional delay charged before upstream
-                # merging — latency below the driver plus the
-                # conservative driver bound
-                below = max(
-                    report.sink_arrival.values()
-                ) - self._driver_delay_in_report(tree, report)
-                return below + insertion_delay_estimate(self._lib, load), load
-        except Exception as exc:  # noqa: BLE001
-            diag.record(
-                "analyze", "downgrade", level=level, net=name,
-                detail=f"timing analysis failed ({exc}); "
-                       f"zero insertion estimate",
-            )
+        root driver's stage load, read off the net's analysis (both zero
+        where it degraded)."""
+        if report is None:
             return 0.0, 0.0
-
-    def _driver_delay_in_report(self, tree: RoutedTree, report) -> float:
-        """Delay contributed by the root driver inside an analysis report."""
-        root = tree.node(tree.root)
-        if root.buffer is None:
-            return 0.0
-        load = report.stage_load.get(tree.root, 0.0)
-        return root.buffer.delay(self._config.source_slew, load)
+        METRICS.observe("cts.cluster_skew_ps", report.skew)
+        load = report.stage_load[tree.root]
+        if not self._config.use_insertion_estimate:
+            return report.latency, load
+        # Eq. (7): provisional delay charged before upstream merging —
+        # latency below the driver plus the conservative driver bound
+        below = report.latency - report.arrival[tree.root]
+        return below + insertion_delay_estimate(self._lib, load), load
 
     # ------------------------------------------------------------------
     # Top net + assembly
@@ -729,12 +716,7 @@ class HierarchicalCTS:
         with diag.timed("route", level=-1, net="top"):
             tree = chain.route(net, ElmoreDelay(self._tech), level=-1)
         nbuf = self._buffer_tree(tree, -1, "top", diag)
-        with diag.timed("check", level=-1, net="top"):
-            check_and_repair(
-                tree, self._constraints, self._tech, self._lib,
-                budget=self._config.repair_budget, diagnostics=diag,
-                level=-1, net="top", source_slew=self._config.source_slew,
-            )
+        self._check(tree, -1, "top", diag)
         return tree, nbuf
 
     def _assemble(
@@ -762,8 +744,7 @@ class HierarchicalCTS:
                 )
                 tree = star_topology(net)
                 try:
-                    place_driver(tree, self._lib, self._tech,
-                                 self._config.source_slew)
+                    place_driver(tree, self._lib, self._tech)
                 except Exception:  # noqa: BLE001
                     tree.set_buffer(tree.root, self._lib.weakest)
                 return tree

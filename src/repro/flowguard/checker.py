@@ -3,10 +3,11 @@
 :func:`check_tree` validates a routed (and usually buffered) tree against
 a :class:`~repro.cts.constraints.Constraints` set — skew, per-stage load
 capacitance, per-stage fanout, and buffer-free edge span — and returns
-typed :class:`Violation` records instead of raising.  A small relative
-``tolerance`` (2% by default) keeps borderline-but-intentional results
-from flagging: routers meet the bound by construction, buffer insertion
-perturbs it slightly.
+typed :class:`Violation` records instead of raising.  It reads skew and
+stage loads from a :class:`~repro.timing.elmore.TimingReport` the caller
+made, so it knows no slew.  A small relative ``tolerance`` (2% by
+default) keeps borderline-but-intentional results from flagging: routers
+meet the bound by construction, buffer insertion perturbs it slightly.
 
 :func:`check_and_repair` closes the loop the paper's related work treats
 as table stakes (fix-and-recheck): skew violations invoke the pinned
@@ -15,7 +16,9 @@ budget; cap and span violations re-buffer via
 :func:`~repro.buffering.insertion.split_long_edges` with a halved span
 per attempt (and re-size the root driver).  Repair attempts are bounded
 by ``budget`` and stop early when no progress is made; whatever survives
-is recorded as residual ``violation`` events and returned.
+is recorded as residual ``violation`` events and returned, together with
+the analysis of the tree as returned: the flow's one timing view of the
+net.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.flowguard.diagnostics import FlowDiagnostics
 from repro.netlist.tree import RoutedTree
 from repro.tech.buffer_library import BufferLibrary
 from repro.tech.technology import Technology
-from repro.timing.elmore import ElmoreAnalyzer
+from repro.timing.elmore import ElmoreAnalyzer, TimingReport
 
 #: Default relative slack before a bound counts as violated.
 CHECK_TOLERANCE = 0.02
@@ -83,19 +86,19 @@ def check_tree(
     tree: RoutedTree,
     constraints,
     tech: Technology,
+    report: TimingReport,
     *,
-    source_slew: float = 10.0,
     tolerance: float = CHECK_TOLERANCE,
 ) -> list[Violation]:
-    """All constraint violations of ``tree``, worst-kind first order is
-    not guaranteed — callers sort/filter as needed."""
+    """All constraint violations of ``tree``, reading skew and stage
+    loads from ``report``, an analysis of this tree; worst-kind first
+    order is not guaranteed — callers sort/filter as needed."""
     if tolerance < 0:
         raise ValueError(f"negative tolerance {tolerance}")
     slack = 1.0 + tolerance
     eps = 1e-9
     violations: list[Violation] = []
 
-    report = ElmoreAnalyzer(tech, source_slew).analyze(tree)
     if report.skew > constraints.skew_bound * slack + eps:
         violations.append(Violation(
             "skew", "tree", report.skew, constraints.skew_bound,
@@ -134,22 +137,31 @@ def check_and_repair(
     diagnostics: FlowDiagnostics | None = None,
     level: int = -1,
     net: str = "",
-) -> list[Violation]:
+) -> tuple[list[Violation], TimingReport]:
     """Check ``tree`` and repair in place with at most ``budget`` passes.
 
-    Returns the residual violations (empty when the tree is clean); every
-    repair action and residual violation is recorded in ``diagnostics``.
+    Returns the residual violations (empty when the tree is clean) and
+    the analysis, at ``source_slew``, of the tree as returned: one per
+    check, so a clean net is analysed once.  Every repair action and
+    residual violation is recorded in ``diagnostics``; an analysis that
+    raises propagates.
     """
     if budget < 0:
         raise ValueError(f"negative repair budget {budget}")
     diag = diagnostics if diagnostics is not None else FlowDiagnostics()
+    analyzer = ElmoreAnalyzer(tech)
 
-    violations = check_tree(tree, constraints, tech, source_slew=source_slew)
+    def check() -> tuple[list[Violation], TimingReport]:
+        report = analyzer.analyze(tree, source_slew)
+        return check_tree(tree, constraints, tech, report), report
+
+    violations, report = check()
     attempt = 0
     while violations and attempt < budget:
         attempt += 1
         kinds = {v.kind for v in violations}
         actions: list[str] = []
+        raised = False
         if "skew" in kinds:
             try:
                 added = repair_skew(
@@ -159,6 +171,7 @@ def check_and_repair(
                 )
                 actions.append(f"repair_skew(+{added:.1f}um)")
             except Exception as exc:  # noqa: BLE001 — repair must not kill
+                raised = True
                 diag.record("check", "fault", level=level, net=net,
                             detail=f"repair_skew failed: {exc}")
         if "cap" in kinds or "span" in kinds:
@@ -168,16 +181,19 @@ def check_and_repair(
                     tree, lib, tech,
                     constraints.effective_span(tech) / shrink, source_slew,
                 )
-                place_driver(tree, lib, tech, source_slew)
+                place_driver(tree, lib, tech)
                 actions.append(f"rebuffer(span/{shrink}, +{nbuf}buf)")
             except Exception as exc:  # noqa: BLE001
+                raised = True
                 diag.record("check", "fault", level=level, net=net,
                             detail=f"re-buffering failed: {exc}")
         if not actions:
+            if raised:
+                # a repair that raised may have left the tree part-edited
+                violations, report = check()
             break  # nothing repairable in place (e.g. pure fanout breach)
 
-        remaining = check_tree(tree, constraints, tech,
-                               source_slew=source_slew)
+        remaining, report = check()
         diag.record(
             "check", "repair", level=level, net=net,
             detail=(f"attempt {attempt}: {', '.join(actions)}; "
@@ -191,4 +207,4 @@ def check_and_repair(
     for v in violations:
         diag.record("check", "violation", level=level, net=net,
                     detail=v.describe())
-    return violations
+    return violations, report

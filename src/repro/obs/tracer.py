@@ -11,8 +11,7 @@ a traced flow yields a tree::
     │       │   └── refine
     │       │       └── pass (n=0)
     │       ├── buffer
-    │       ├── check
-    │       └── analyze
+    │       └── check
     └── ...
 
 Tracing is **off by default** and the disabled path is engineered to be

@@ -51,7 +51,9 @@ _LOG = get_logger("sweep")
 #: v3: the flow partitions large levels in exact spatial blocks and
 #: adds a level while the top net's estimated cap is over bound, so
 #: records of designs past either threshold changed.
-RESULT_SCHEMA_VERSION = 3
+#: v4: records are scored at the point's own ``source_slew``; v3 scored
+#: every point at 10 ps, so records at any other slew were wrong.
+RESULT_SCHEMA_VERSION = 4
 
 
 def canonical_json(obj) -> str:

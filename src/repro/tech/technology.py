@@ -60,10 +60,6 @@ class Technology:
         res = self.wire_res(length)
         return res * (self.wire_cap(length) / 2.0 + load_cap) * RC_TO_PS
 
-    def wire_slew(self, length: float, load_cap: float = 0.0) -> float:
-        """Bakoglu 10-90% slew (ps) of a wire segment: ln(9) * Elmore."""
-        return LN9 * self.wire_delay(length, load_cap)
-
     def rc_per_um2_ps(self) -> float:
         """Wire RC constant r*c expressed in ps/um^2 (used by Eq. (7))."""
         return self.unit_res * self.unit_cap * RC_TO_PS

@@ -71,22 +71,27 @@ def downstream_stage_cap(tree: RoutedTree,
 
 
 class ElmoreAnalyzer:
-    """Reusable Elmore timing engine for routed clock trees."""
+    """Reusable Elmore timing engine for routed clock trees; the slew at
+    a tree's root is an argument of each :meth:`analyze` call."""
 
-    def __init__(self, tech: Technology, source_slew: float = 10.0):
+    def __init__(self, tech: Technology):
         self._tech = tech
-        self._source_slew = source_slew
 
     # ------------------------------------------------------------------
-    def analyze(self, tree: RoutedTree) -> TimingReport:
-        """One bottom-up and one top-down walk over the node objects."""
+    def analyze(self, tree: RoutedTree,
+                input_slew: float = 10.0) -> TimingReport:
+        """One bottom-up and one top-down walk over the node objects,
+        with ``input_slew`` ps at the root."""
         if not tree.sink_node_ids():
             raise ValueError("cannot analyze a tree with no sinks")
-        return self._propagate(tree, downstream_stage_cap(tree, self._tech))
+        return self._propagate(
+            tree, downstream_stage_cap(tree, self._tech), input_slew
+        )
 
     # ------------------------------------------------------------------
     def _propagate(
-        self, tree: RoutedTree, stage_cap: dict[int, float]
+        self, tree: RoutedTree, stage_cap: dict[int, float],
+        input_slew: float,
     ) -> TimingReport:
         arrival: dict[int, float] = {}
         slew: dict[int, float] = {}
@@ -103,9 +108,9 @@ class ElmoreAnalyzer:
             node = tree.node(nid)
             if node.parent is None:
                 arrival[nid] = 0.0
-                slew[nid] = self._source_slew
+                slew[nid] = input_slew
                 stage_wire_delay[nid] = 0.0
-                stage_root_slew[nid] = self._source_slew
+                stage_root_slew[nid] = input_slew
             else:
                 length = tree.edge_length(nid)
                 res = self._tech.wire_res(length)

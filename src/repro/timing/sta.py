@@ -66,10 +66,6 @@ class STAReport:
         return min(self.hold_slacks.values()) if self.hold_slacks else _INF
 
     @property
-    def tns_setup(self) -> float:
-        return sum(min(s, 0.0) for s in self.setup_slacks.values())
-
-    @property
     def ok(self) -> bool:
         return self.wns_setup >= 0.0 and self.wns_hold >= 0.0
 

@@ -7,7 +7,6 @@ import pytest
 from repro.buffering import (
     driver_for_load,
     insertion_delay_estimate,
-    max_unbuffered_length,
     place_driver,
     split_long_edges,
 )
@@ -15,6 +14,7 @@ from repro.geometry import Point
 from repro.netlist import RoutedTree, Sink
 from repro.tech import Technology, default_library
 from repro.timing import ElmoreAnalyzer
+from repro.timing.elmore import downstream_stage_cap
 
 
 def tech():
@@ -36,13 +36,6 @@ def test_insertion_delay_estimate_is_lower_bound():
         est = insertion_delay_estimate(lib, cap)
         actual = driver_for_load(lib, cap).delay(slew_in=10.0, cap_load=cap)
         assert est <= actual + 1e-9
-
-
-def test_max_unbuffered_length_grows_with_load():
-    lib = default_library()
-    t = tech()
-    buf = lib.by_name("CLKBUF_X8")
-    assert max_unbuffered_length(buf, t, 100.0) > max_unbuffered_length(buf, t, 5.0)
 
 
 def wire_tree(length=100.0, cap=10.0):
@@ -74,6 +67,32 @@ def test_split_long_edges_inserts_repeaters():
             assert tree.edge_length(nid) <= 300.0 + 1e-6
     # total wirelength unchanged: repeaters sit on the route
     assert tree.wirelength() == pytest.approx(1000.0)
+
+
+def test_split_long_edges_sizes_every_chain_on_its_stage_load():
+    """Several long edges, one below another: each chain's last repeater
+    drives its share of wire plus the stage load below the split node,
+    as the tree stood before any repeater went in."""
+    t = tech()
+    lib = default_library()
+    tree = RoutedTree(Point(0, 0))
+    a = tree.add_child(tree.root, Point(200, 0))
+    below_a = tree.add_child(a, Point(200, 150),
+                             sink=Sink("s1", Point(200, 150), cap=10.0))
+    tree.add_child(a, Point(210, 0), sink=Sink("s2", Point(210, 0), cap=5.0))
+    side = tree.add_child(tree.root, Point(0, 250),
+                          sink=Sink("s3", Point(0, 250), cap=1.0))
+    before = downstream_stage_cap(tree, t)
+    lengths = {nid: tree.edge_length(nid) for nid in (a, below_a, side)}
+
+    assert split_long_edges(tree, lib, t, max_span=100.0, slew_in=15.0) == 4
+    load_mattered = []
+    for nid, length in lengths.items():
+        share = t.wire_cap(length / math.ceil(length / 100.0))
+        driver = tree.node(tree.node(nid).parent).buffer
+        assert driver == driver_for_load(lib, share + before[nid], 15.0)
+        load_mattered.append(driver != driver_for_load(lib, share, 15.0))
+    assert any(load_mattered)
 
 
 def test_split_long_edges_improves_latency_beyond_critical_length():

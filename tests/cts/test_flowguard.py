@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import repro.flowguard.checker as checker
 from repro.core.cbs import cbs
 from repro.cts import Constraints, FlowConfig, HierarchicalCTS, TABLE5
 from repro.flowguard import (
@@ -204,18 +205,21 @@ def line_tree(far=100.0):
 
 
 def test_check_tree_clean_by_default():
+    tech = Technology()
     tree = line_tree()
-    assert check_tree(tree, TABLE5, Technology()) == []
+    report = ElmoreAnalyzer(tech).analyze(tree)
+    assert check_tree(tree, TABLE5, tech, report) == []
 
 
 def test_check_tree_finds_each_kind():
     tech = Technology()
     tree = line_tree(far=100.0)
-    skew = ElmoreAnalyzer(tech).analyze(tree).skew
+    report = ElmoreAnalyzer(tech).analyze(tree)
     tight = Constraints(
-        skew_bound=skew / 2, max_fanout=1, max_cap=0.5, max_length=50.0,
+        skew_bound=report.skew / 2, max_fanout=1, max_cap=0.5,
+        max_length=50.0,
     )
-    kinds = {v.kind for v in check_tree(tree, tight, tech)}
+    kinds = {v.kind for v in check_tree(tree, tight, tech, report)}
     assert kinds == {"skew", "cap", "fanout", "span"}
 
 
@@ -238,14 +242,42 @@ def test_check_and_repair_fixes_skew():
     cons = Constraints(skew_bound=skew * 0.8, max_fanout=32,
                        max_cap=1e6, max_length=1e6)
     diag = FlowDiagnostics()
-    residual = check_and_repair(
+    residual, report = check_and_repair(
         tree, cons, tech, default_library(), diagnostics=diag,
         net="line",
     )
     assert residual == []
     assert diag.repairs >= 1
     assert not diag.degraded  # repaired means clean, not degraded
-    assert ElmoreAnalyzer(tech).analyze(tree).skew <= cons.skew_bound * 1.03
+    # the report times the repaired tree, not the one handed in
+    assert report.skew == ElmoreAnalyzer(tech).analyze(tree).skew
+    assert report.skew <= cons.skew_bound * 1.03
+
+
+def test_check_and_repair_times_a_tree_a_failed_repair_edited(monkeypatch):
+    """A repair that raises part-way leaves an edited tree behind: the
+    report and the residual violations describe that tree, not the one
+    last checked."""
+    tech = Technology()
+    tree = line_tree(far=100.0)
+    skew = ElmoreAnalyzer(tech).analyze(tree).skew
+    cons = Constraints(skew_bound=skew * 0.8, max_fanout=32,
+                       max_cap=1e6, max_length=1e6)
+
+    def part_repair(tree, *args, **kwargs):
+        near = next(nid for nid in tree.sink_node_ids()
+                    if tree.node(nid).sink.name == "near")
+        tree.set_detour(near, 20.0)
+        raise RuntimeError("repair gave up part-way")
+
+    monkeypatch.setattr(checker, "repair_skew", part_repair)
+    diag = FlowDiagnostics()
+    residual, report = check_and_repair(
+        tree, cons, tech, default_library(), diagnostics=diag,
+    )
+    assert diag.count("fault") == 1 and diag.repairs == 0
+    assert report.skew == ElmoreAnalyzer(tech).analyze(tree).skew < skew
+    assert residual == check_tree(tree, cons, tech, report)
 
 
 def test_check_and_repair_records_residual_violations():
@@ -255,10 +287,11 @@ def test_check_and_repair_records_residual_violations():
     cons = Constraints(skew_bound=1e6, max_fanout=1,
                        max_cap=1e6, max_length=1e6)
     diag = FlowDiagnostics()
-    residual = check_and_repair(
+    residual, report = check_and_repair(
         tree, cons, tech, default_library(), diagnostics=diag,
     )
     assert [v.kind for v in residual] == ["fanout"]
+    assert report.skew == ElmoreAnalyzer(tech).analyze(tree).skew
     assert diag.violations == 1
     assert diag.degraded
 
@@ -308,16 +341,15 @@ def test_flow_survives_non_reducing_partitioner():
         assert lv.max_net_fanout <= TABLE5.max_fanout
 
 
-def test_flow_survives_flaky_analyzer():
+def test_flow_survives_flaky_analyzer(monkeypatch):
     tech = Technology()
-    analyzer = ElmoreAnalyzer(tech)
-    analyzer.analyze = FaultInjector(
+    monkeypatch.setattr(ElmoreAnalyzer, "analyze", FaultInjector(
         rate=1.0, seed=3, name="analyzer"
-    ).wrap(analyzer.analyze)
+    ).wrap(ElmoreAnalyzer.analyze))
     cfg = FlowConfig(sa_iterations=20)
     sinks = make_sinks(150, seed=2)
     result = HierarchicalCTS(
-        tech=tech, config=cfg, analyzer=analyzer
+        tech=tech, config=cfg, jobs=1
     ).run(sinks, Point(60, 60))
     diag = result.diagnostics
     assert any(e.stage == "analyze" and e.kind == "downgrade"

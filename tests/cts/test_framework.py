@@ -14,7 +14,9 @@ from repro.cts.evaluation import evaluate_result, evaluate_solution
 from repro.dme import bst_dme
 from repro.geometry import Point
 from repro.netlist import Sink
+from repro.perf import make_uniform_sinks
 from repro.tech import Technology
+from repro.timing import ElmoreAnalyzer
 
 
 def make_sinks(n, box=150.0, seed=0):
@@ -265,3 +267,26 @@ def test_top_net_over_cap_gains_a_level():
         f"ff{i}" for i in range(24)
     )
     result.tree.validate()
+
+
+def test_each_routed_net_is_analysed_once(monkeypatch):
+    """The check's analysis is the net's only one: one per routed net
+    (each level's clusters and the top net) plus one per repair's
+    re-check."""
+    calls = []
+    analyze = ElmoreAnalyzer.analyze
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return analyze(self, *args, **kwargs)
+
+    monkeypatch.setattr(ElmoreAnalyzer, "analyze", counting)
+    sinks, side = make_uniform_sinks(1200, 2)
+    result = HierarchicalCTS(
+        tech=Technology(), config=FlowConfig(sa_iterations=50), jobs=1,
+    ).run(sinks, Point(side / 2, side / 2))
+    nets = sum(level.num_clusters for level in result.levels) + 1
+    repairs = result.diagnostics.repairs
+    assert repairs >= 1
+    assert len(calls) == nets + repairs
+

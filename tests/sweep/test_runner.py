@@ -15,9 +15,13 @@ import pytest
 
 import repro.parallel
 import repro.sweep.runner
+from repro.cts import FlowConfig, HierarchicalCTS
+from repro.cts.evaluation import evaluate_solution
+from repro.designs import load_design
 from repro.obs.metrics import METRICS
 from repro.resilience import FabricChaos, FabricPolicy
 from repro.sweep import SweepSpec, SweepStore, pareto_front, run_sweep
+from repro.tech import Technology
 
 
 def _spec() -> SweepSpec:
@@ -55,6 +59,26 @@ def test_serial_and_parallel_runs_are_byte_identical(tmp_path):
     front_b = [e.key for e in pareto_front(parallel.records).front]
     assert front_a == front_b
     assert front_a  # non-empty
+
+
+def test_points_are_scored_at_their_own_source_slew(tmp_path):
+    """A record times its tree at the point's ``source_slew``, not at
+    the 10 ps default."""
+    spec = SweepSpec(name="slew", designs=["s38584"], scales=[0.05],
+                     grid={"source_slew": [10.0, 40.0]})
+    run = run_sweep(spec, SweepStore(tmp_path), jobs=1)
+    assert run.failed == 0
+    latency = {record["config"]["flow"]["source_slew"]:
+               record["quality"]["latency_ps"] for record in run.records}
+
+    tech = Technology()
+    design = load_design("s38584", scale=0.05)
+    result = HierarchicalCTS(
+        tech=tech, config=FlowConfig(source_slew=40.0), jobs=1,
+    ).run(design.sinks, design.source)
+    expected = evaluate_solution(result.tree, tech, source_slew=40.0)
+    assert latency[40.0] == expected.latency_ps
+    assert latency[40.0] != latency[10.0]
 
 
 def test_second_run_is_pure_cache(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.tech import RC_TO_PS, Technology
-from repro.tech.technology import LN9
 
 lengths = st.floats(min_value=0, max_value=1e4, allow_nan=False)
 caps = st.floats(min_value=0, max_value=1e3, allow_nan=False)
@@ -31,11 +30,6 @@ def test_wire_delay_with_load():
 def test_negative_length_rejected():
     with pytest.raises(ValueError):
         Technology().wire_delay(-1)
-
-
-def test_slew_is_ln9_times_delay():
-    tech = Technology()
-    assert math.isclose(tech.wire_slew(200, 10), LN9 * tech.wire_delay(200, 10))
 
 
 def test_rc_per_um2():

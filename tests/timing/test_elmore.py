@@ -100,8 +100,9 @@ def test_slew_degrades_along_wire():
     tree = RoutedTree(Point(0, 0))
     far = tree.add_child(tree.root, Point(400, 0),
                          sink=Sink("s", Point(400, 0), cap=2.0))
-    rep = ElmoreAnalyzer(t, source_slew=10.0).analyze(tree)
-    assert rep.slew[far] > 10.0
+    rep = ElmoreAnalyzer(t).analyze(tree, input_slew=25.0)
+    assert rep.slew[tree.root] == 25.0
+    assert rep.slew[far] > 25.0
 
 
 def test_empty_tree_rejected():
@@ -128,7 +129,7 @@ def test_two_edge_stage_slew_counts_wire_once():
     tree = RoutedTree(Point(0, 0))
     a = tree.add_child(tree.root, Point(50, 0))
     b = tree.add_child(a, Point(100, 0), sink=Sink("s", Point(100, 0), cap=4.0))
-    rep = ElmoreAnalyzer(t, source_slew=10.0).analyze(tree)
+    rep = ElmoreAnalyzer(t).analyze(tree, input_slew=10.0)
     d1 = 50 * (0.2 * 50 / 2 + 0.2 * 50 + 4.0) * 1e-3
     d2 = 50 * (0.2 * 50 / 2 + 4.0) * 1e-3
     assert rep.slew[a] == pytest.approx(
@@ -153,7 +154,7 @@ def test_buffer_restarts_slew_accumulation():
     tree.set_buffer(mid, buf)
     s = tree.add_child(mid, Point(400, 0),
                        sink=Sink("s", Point(400, 0), cap=4.0))
-    rep = ElmoreAnalyzer(t, source_slew=10.0).analyze(tree)
+    rep = ElmoreAnalyzer(t).analyze(tree, input_slew=10.0)
     load = 0.2 * 200 + 4.0  # buffer stage: 200 um of wire + sink pin
     d = 200 * (0.2 * 200 / 2 + 4.0) * 1e-3
     expected = math.sqrt(buf.output_slew(load) ** 2 + (LN9 * d) ** 2)

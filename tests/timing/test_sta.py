@@ -33,7 +33,6 @@ def test_analyze_zero_skew_slacks():
     assert rep.hold_slacks[("a", "b")] == pytest.approx(2.5)
     assert rep.ok
     assert rep.wns_setup == pytest.approx(1.0)
-    assert rep.tns_setup == 0.0
 
 
 def test_analyze_detects_violation():
@@ -42,7 +41,6 @@ def test_analyze_detects_violation():
     rep = analyze_paths(arrivals, paths, period=10.0)
     assert rep.setup_slacks[("a", "b")] == pytest.approx(-2.0)
     assert not rep.ok
-    assert rep.tns_setup == pytest.approx(-2.0)
 
 
 def test_analyze_validation():
