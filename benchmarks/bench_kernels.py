@@ -212,13 +212,13 @@ def test_anneal_partition(benchmark, sa_partition):
 @pytest.fixture(scope="module")
 def ethernet_assignments():
     """The ``balanced_assign`` calls of ethernet's level-0 partition:
-    each spatial block's points and Lloyd centers, captured as balanced
-    K-means makes them."""
+    each spatial block's coordinate and Lloyd center arrays, captured as
+    balanced K-means makes them."""
     calls = []
 
-    def capture(points, centers, capacity):
-        calls.append((points, centers, capacity))
-        return balanced_assign(points, centers, capacity)
+    def capture(coords, centers, capacity):
+        calls.append((coords, centers, capacity))
+        return balanced_assign(coords, centers, capacity)
 
     design = load_design("ethernet")
     flow = HierarchicalCTS(config=FlowConfig(use_sa=False), jobs=1)
@@ -231,11 +231,11 @@ def ethernet_assignments():
 
 def test_balanced_assign_ethernet_blocks(benchmark, ethernet_assignments):
     def run():
-        return [balanced_assign(points, centers, capacity=capacity)
-                for points, centers, capacity in ethernet_assignments]
+        return [balanced_assign(coords, centers, capacity=capacity)
+                for coords, centers, capacity in ethernet_assignments]
 
     solved = benchmark.pedantic(run, rounds=5, iterations=1)
     assert len(solved) == 16
-    for (points, _, capacity), labels in zip(ethernet_assignments, solved):
-        assert len(labels) == len(points)
+    for (coords, _, capacity), labels in zip(ethernet_assignments, solved):
+        assert len(labels) == len(coords)
         assert max(Counter(labels).values()) <= capacity

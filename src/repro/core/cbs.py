@@ -6,10 +6,11 @@ The five steps of Fig. 2:
 2. its topology is extracted, redundant Steiner nodes eliminated;
 3. SALT relaxes that tree, shortening over-long root paths — this breaks
    skew legality;
-4. the relaxed tree is legalised: binary, load pins as leaves, and its
-   merge topology extracted;
-5. BST-DME re-embeds that fixed topology, restoring the skew bound, and a
-   final length-preserving cleanup removes redundant nodes.
+4. the relaxed tree is legalised: binary, load pins as leaves, which
+   fixes its merge topology;
+5. BST-DME on that fixed topology restores the skew bound, with the
+   merging regions pinned at the tree's own embedding, and a final
+   length-preserving cleanup removes redundant nodes.
 
 The output therefore combines SALT's shallowness/lightness with BST's skew
 guarantee: an SLLT whose skew never exceeds ``skew_bound`` while its
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.dme.dme import bst_dme, bst_dme_on_topology
+from repro.dme.dme import bst_dme
 from repro.dme.models import DelayModel, LinearDelay
 from repro.dme.repair import repair_skew
 from repro.netlist.net import ClockNet
@@ -28,7 +29,6 @@ from repro.netlist.topology import TopologyNode
 from repro.netlist.tree import RoutedTree
 from repro.netlist.tree_ops import (
     binarize,
-    extract_topology,
     prune_redundant_steiner,
     sinks_to_leaves,
 )
@@ -48,7 +48,6 @@ def cbs(
     eps: float = DEFAULT_EPS,
     model: DelayModel | None = None,
     topology: str | TopologyNode | Callable = "greedy_dist",
-    step5: str = "repair",
 ) -> RoutedTree:
     """Build an SLLT for ``net`` with skew controlled to ``skew_bound``.
 
@@ -58,18 +57,13 @@ def cbs(
     the Step 1 merging scheme (paper Table 2 sweeps GreedyDist /
     GreedyMerge / BiPartition).
 
-    ``step5`` selects how the final BST pass embeds the Step 4 topology:
-
-    * ``"repair"`` (default) — BST-DME with the merging regions pinned at
-      the Step 4 tree's own embedding, i.e. bottom-up interval merging
-      with minimal-detour snaking on fixed geometry.  This preserves
-      SALT's wire sharing exactly, which the rectangle-restricted free
-      regions of this reproduction cannot (see DESIGN.md);
-    * ``"dme"`` — full free-region BST-DME re-embedding of the topology
-      (the ablation variant; heavier but exercises the region machinery).
+    Step 5 is BST-DME with the merging regions pinned at the Step 4
+    tree's own embedding (:func:`~repro.dme.repair.repair_skew`):
+    bottom-up interval merging with minimal-detour snaking on fixed
+    geometry.  Repairing in place preserves SALT's wire sharing exactly,
+    which re-embedding through the rectangle-restricted free regions of
+    this reproduction would lose (see DESIGN.md).
     """
-    if step5 not in ("repair", "dme"):
-        raise ValueError(f"step5 must be 'repair' or 'dme', got {step5!r}")
     model = model or LinearDelay()
 
     # Step 1: initial bounded-skew tree
@@ -92,13 +86,8 @@ def cbs(
     sinks_to_leaves(relaxed)
     binarize(relaxed)
 
-    # Step 5: restore the skew bound and clean up
-    if step5 == "repair":
-        final = relaxed
-        repair_skew(final, skew_bound, model=model)
-    else:
-        relaxed_topo = extract_topology(relaxed)
-        final = bst_dme_on_topology(net, relaxed_topo, skew_bound, model=model)
-    prune_redundant_steiner(final, preserve_length=True)
-    final.validate()
-    return final
+    # Step 5: restore the skew bound in place and clean up
+    repair_skew(relaxed, skew_bound, model=model)
+    prune_redundant_steiner(relaxed, preserve_length=True)
+    relaxed.validate()
+    return relaxed

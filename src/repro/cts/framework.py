@@ -33,9 +33,9 @@ empty-input ``ValueError``; everything else degrades and reports.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -43,6 +43,7 @@ from repro.buffering.estimation import insertion_delay_estimate
 from repro.buffering.insertion import place_driver, split_long_edges
 from repro.cts.constraints import Constraints, TABLE5
 from repro.dme.models import ElmoreDelay
+from repro.dme.topology import TOPOLOGY_GENERATORS
 from repro.flowguard.checker import check_and_repair
 from repro.flowguard.diagnostics import FlowDiagnostics
 from repro.flowguard.fallback import (
@@ -79,7 +80,43 @@ CONFIG_SCHEMA_VERSION = 2
 #: Fields that hold callables: pluggable, but not serialisable — a
 #: config carrying one cannot round-trip through ``to_dict`` and has no
 #: canonical digest.
-_CALLABLE_FIELDS = ("router", "partitioner")
+_CALLABLE_FIELDS = ("router",)
+
+
+def finite_float(name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless it is
+    a finite int or float (a bool is not a number here)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:  # an int beyond the float range
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+
+
+def _knob_value(name: str, kind: str, value):
+    """``value`` checked and normalised for the FlowConfig field ``name``
+    of annotated type ``kind``."""
+    if kind == "float":
+        return finite_float(name, value)
+    if kind == "int":
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    if kind == "bool":
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{name!r} must be a boolean, got {value!r}")
+    if name == "topology" and not (isinstance(value, str)
+                                   and value in TOPOLOGY_GENERATORS):
+        raise ValueError(f"unknown topology {value!r}; "
+                         f"choices: {sorted(TOPOLOGY_GENERATORS)}")
+    return value
+
 
 @dataclass(slots=True)
 class FlowConfig:
@@ -96,9 +133,6 @@ class FlowConfig:
     source_slew: float = 10.0         # ps at the clock source
     # pluggable per-net router: (net, skew_bound_ps, model) -> RoutedTree
     router: Callable | None = None
-    # pluggable partitioner: (points, max_size=..., seed=...) ->
-    # (centers, labels); defaults to balanced K-means
-    partitioner: Callable | None = None
     # constraint-repair passes per net before violations become residual
     repair_budget: int = 2
 
@@ -111,8 +145,8 @@ class FlowConfig:
         Every scalar knob appears under its field name with a
         normalised type (ints stay ints, floats become floats), so two
         configs that compare equal serialise to identical dicts.  A
-        config carrying a pluggable callable (``router`` /
-        ``partitioner``) is not serialisable and raises ``ValueError``.
+        config carrying a pluggable ``router`` is not serialisable and
+        raises ``ValueError``.
         """
         for name in _CALLABLE_FIELDS:
             if getattr(self, name) is not None:
@@ -136,12 +170,17 @@ class FlowConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FlowConfig":
-        """Rebuild a config from :meth:`to_dict` output (strict keys).
+        """Rebuild a config from :meth:`to_dict` output (strict).
 
         Unknown keys raise ``ValueError`` — a sweep spec naming a knob
         that does not exist must fail loudly, not silently run the
-        defaults.  Values are normalised exactly as ``to_dict`` does,
-        so ``from_dict(d).to_dict() == d`` for any canonical ``d``.
+        defaults.  So does a value of the wrong type: a bool, non-number
+        or non-finite value for a float knob, a non-integral one for an
+        int knob, a non-bool for a bool knob, and a ``topology`` that
+        names no generator.  Integral spellings normalise exactly as
+        ``to_dict`` does (``0`` is ``0.0`` for a float knob, ``200.0``
+        is ``200`` for an int one), so ``from_dict(d).to_dict() == d``
+        for any canonical ``d``.
         """
         known = {f.name for f in fields(cls) if f.name not in _CALLABLE_FIELDS}
         unknown = sorted(set(data) - known)
@@ -150,20 +189,8 @@ class FlowConfig:
                 f"unknown FlowConfig field(s) {unknown}; "
                 f"known fields: {sorted(known)}"
             )
-        cfg = cls(**data)
-        # normalise numeric types in place so equality and digests do
-        # not depend on whether the caller wrote 0 or 0.0 in a spec
-        for f in fields(cls):
-            if f.name in _CALLABLE_FIELDS:
-                continue
-            value = getattr(cfg, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if f.type == "float":
-                setattr(cfg, f.name, float(value))
-            elif f.type == "int":
-                setattr(cfg, f.name, int(value))
-        return cfg
+        return cls(**{f.name: _knob_value(f.name, f.type, data[f.name])
+                      for f in fields(cls) if f.name in data})
 
     def digest(self) -> str:
         """Stable content hash of the canonical form (hex sha256).
@@ -359,9 +386,9 @@ class HierarchicalCTS:
 
         An explicit ``jobs`` is taken verbatim.  Auto (``jobs < 1``)
         means one per usable CPU, except while the config holds a user
-        callable: forked copies of a stateful router or partitioner (a
-        fault injector, a call counter) would diverge from the serial
-        run, so auto stays serial.
+        router: forked copies of a stateful one (a fault injector, a
+        call counter) would diverge from the serial run, so auto stays
+        serial.
         """
         if self._jobs < 1 and any(
                 getattr(self._config, name) is not None
@@ -506,18 +533,14 @@ class HierarchicalCTS:
     ) -> tuple[list[Cluster], float, float]:
         cons = self._constraints
         cfg = self._config
-        if cfg.partitioner is not None:
-            partition_fn = cfg.partitioner
-        else:
-            partition_fn = functools.partial(
-                balanced_kmeans, mapper=_block_mapper(pool, level)
-            )
+        mapper = _block_mapper(pool, level)
         points = [s.location for s in sinks]
         max_size = cons.max_fanout
         # split further while the densest cluster overruns the cap budget
         for _ in range(6):
-            centers, labels = partition_fn(
-                points, max_size=max_size, seed=cfg.seed + level
+            centers, labels = balanced_kmeans(
+                points, max_size=max_size, seed=cfg.seed + level,
+                mapper=mapper,
             )
             clusters = self._materialise(sinks, centers, labels, level, diag)
             worst = max(

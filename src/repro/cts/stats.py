@@ -40,12 +40,6 @@ class TreeStatistics:
     def max_stage_load(self) -> float:
         return max(self.stage_loads.values()) if self.stage_loads else 0.0
 
-    @property
-    def mean_stage_load(self) -> float:
-        if not self.stage_loads:
-            return 0.0
-        return sum(self.stage_loads.values()) / len(self.stage_loads)
-
 
 def tree_statistics(tree: RoutedTree, tech: Technology) -> TreeStatistics:
     """Compute the digest in two linear passes."""

@@ -15,8 +15,9 @@ axis-aligned rectangles (see :mod:`repro.geometry.segment` and DESIGN.md).
 Delay is pluggable: the linear (wirelength) model of the paper's SLLT
 analysis, or Elmore with capacitance tracking for the ps-domain results.
 
-Entry points: :func:`zst_dme`, :func:`bst_dme` (free topology) and
-:func:`bst_dme_on_topology` (fixed topology — CBS Step 5).
+Entry points: :func:`zst_dme` and :func:`bst_dme` (a generated or a
+given fixed topology); :func:`repair_skew` re-balances a routed tree in
+place on its own embedding (CBS Step 5).
 """
 
 from repro.dme.models import DelayModel, ElmoreDelay, LinearDelay
@@ -28,7 +29,7 @@ from repro.dme.topology import (
     greedy_merge,
     TOPOLOGY_GENERATORS,
 )
-from repro.dme.dme import bst_dme, bst_dme_on_topology, zst_dme
+from repro.dme.dme import bst_dme, zst_dme
 from repro.dme.repair import repair_skew
 from repro.dme.ust import ust_dme, ust_feasible_shift
 
@@ -41,7 +42,6 @@ __all__ = [
     "bi_cluster",
     "bi_partition",
     "bst_dme",
-    "bst_dme_on_topology",
     "greedy_dist",
     "greedy_merge",
     "merge_specs",

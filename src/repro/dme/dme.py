@@ -4,8 +4,7 @@
 unit follows the delay model: micrometres of path length for
 :class:`~repro.dme.models.LinearDelay` (the default), picoseconds for
 :class:`~repro.dme.models.ElmoreDelay`.  ``zst_dme`` is the zero-bound
-special case; ``bst_dme_on_topology`` embeds a *fixed* topology — the mode
-CBS Step 5 uses after extracting the SALT-relaxed topology.
+special case.
 """
 
 from __future__ import annotations
@@ -50,16 +49,6 @@ def zst_dme(
 ) -> RoutedTree:
     """Zero-skew tree: BST with a zero bound."""
     return bst_dme(net, skew_bound=0.0, model=model, topology=topology)
-
-
-def bst_dme_on_topology(
-    net: ClockNet,
-    topology: TopologyNode,
-    skew_bound: float,
-    model: DelayModel | None = None,
-) -> RoutedTree:
-    """Embed a fixed merge topology under a skew bound (CBS Step 5)."""
-    return bst_dme(net, skew_bound, model=model, topology=topology)
 
 
 # ----------------------------------------------------------------------

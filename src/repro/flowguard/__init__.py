@@ -35,7 +35,7 @@ from repro.flowguard.fallback import (
     forced_median_split,
     star_topology,
 )
-from repro.flowguard.faults import FaultInjected, FaultInjector, flaky
+from repro.flowguard.faults import FaultInjected, FaultInjector
 
 __all__ = [
     "BACKOFF_SCHEDULE",
@@ -48,7 +48,6 @@ __all__ = [
     "Violation",
     "check_and_repair",
     "check_tree",
-    "flaky",
     "forced_median_split",
     "stage_fanouts",
     "star_topology",

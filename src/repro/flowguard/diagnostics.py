@@ -129,9 +129,6 @@ class FlowDiagnostics:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def events_of(self, kind: str) -> list[FlowEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
 
@@ -154,10 +151,6 @@ class FlowDiagnostics:
     @property
     def forced_splits(self) -> int:
         return self.count("forced_split")
-
-    @property
-    def faults(self) -> int:
-        return self.count("fault")
 
     @property
     def degraded(self) -> bool:

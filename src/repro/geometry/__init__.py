@@ -9,19 +9,15 @@ provides the rectangle arithmetic used for merging regions there.
 
 from repro.geometry.point import (
     Point,
-    chebyshev,
     manhattan,
     manhattan_center,
-    midpoint,
     rotate45,
     unrotate45,
 )
 from repro.geometry.segment import Rect
 from repro.geometry.hull import (
     bounding_box,
-    convex_hull,
     half_perimeter,
-    manhattan_diameter,
     points_on_hull,
 )
 
@@ -29,13 +25,9 @@ __all__ = [
     "Point",
     "Rect",
     "bounding_box",
-    "chebyshev",
-    "convex_hull",
     "half_perimeter",
     "manhattan",
     "manhattan_center",
-    "manhattan_diameter",
-    "midpoint",
     "points_on_hull",
     "rotate45",
     "unrotate45",

@@ -1,16 +1,15 @@
-"""Convex hulls, bounding boxes and diameters of pin sets.
+"""Convex-hull membership, bounding boxes and HPWL of pin sets.
 
 The simulated-annealing partition refinement (paper Fig. 4) moves instances
 that lie on the *convex hull boundary* of a net, so hull membership is the
-workhorse here.  The Manhattan diameter uses the rotated-space identity
-``max-pairwise-L1 == max(spread(u), spread(v))``.
+workhorse here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.geometry.point import Point, rotate45
+from repro.geometry.point import Point
 
 
 def _hull_vertices(
@@ -43,23 +42,13 @@ def _chain(pts) -> list[tuple[float, float]]:
     return chain
 
 
-def convex_hull(points: list[Point]) -> list[Point]:
-    """Convex hull in counter-clockwise order (Andrew monotone chain).
-
-    Collinear boundary points are dropped.  Degenerate inputs (<= 2 distinct
-    points, or all collinear) return the distinct extreme points.
-    """
-    hull = _hull_vertices([(p.x, p.y) for p in points])
-    return [Point(x, y) for x, y in hull]
-
-
 def points_on_hull(points: Iterable, tol: float = 1e-9) -> list[int]:
     """Indices of input points lying on the convex hull boundary.
 
     This is the candidate set for an SA boundary move: instances "located at
     the boundary (convex hull)" of a net, in the paper's wording.  Unlike
-    :func:`convex_hull` it keeps collinear boundary points, because those are
-    equally movable.  ``points`` may be :class:`Point` objects or
+    the hull's vertex list it keeps collinear boundary points, because
+    those are equally movable.  ``points`` may be :class:`Point` objects or
     ``(x, y)`` tuples (the SA kernel passes tuples).
 
     A point is on the boundary when some hull edge ``a -> b`` has it
@@ -101,16 +90,6 @@ def bounding_box(points: list[Point]) -> tuple[Point, Point]:
         Point(min(p.x for p in points), min(p.y for p in points)),
         Point(max(p.x for p in points), max(p.y for p in points)),
     )
-
-
-def manhattan_diameter(points: list[Point]) -> float:
-    """Maximum pairwise Manhattan distance, in O(n)."""
-    if len(points) < 2:
-        return 0.0
-    rotated = [rotate45(p) for p in points]
-    spread_u = max(r.x for r in rotated) - min(r.x for r in rotated)
-    spread_v = max(r.y for r in rotated) - min(r.y for r in rotated)
-    return max(spread_u, spread_v)
 
 
 def half_perimeter(points: list[Point]) -> float:

@@ -3,7 +3,7 @@
 The rotation ``(x, y) -> (x + y, y - x)`` maps the Manhattan (L1) metric onto
 the Chebyshev (L-inf) metric: for any two points ``p`` and ``q``,
 
-    manhattan(p, q) == chebyshev(rotate45(p), rotate45(q)).
+    manhattan(p, q) == rotate45(p).chebyshev_to(rotate45(q)).
 
 DME merging-region arithmetic is carried out in rotated space because the
 L-inf ball is an axis-aligned square, which keeps every region in this
@@ -14,7 +14,6 @@ not divide by 2; ``unrotate45`` restores original coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -35,17 +34,11 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def scaled(self, factor: float) -> "Point":
-        return Point(self.x * factor, self.y * factor)
-
     def manhattan_to(self, other: "Point") -> float:
         return abs(self.x - other.x) + abs(self.y - other.y)
 
     def chebyshev_to(self, other: "Point") -> float:
         return max(abs(self.x - other.x), abs(self.y - other.y))
-
-    def euclidean_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
     def is_close(self, other: "Point", tol: float = 1e-9) -> bool:
         return abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol
@@ -54,16 +47,6 @@ class Point:
 def manhattan(p: Point, q: Point) -> float:
     """Manhattan (L1) distance between two points."""
     return abs(p.x - q.x) + abs(p.y - q.y)
-
-
-def chebyshev(p: Point, q: Point) -> float:
-    """Chebyshev (L-inf) distance between two points."""
-    return max(abs(p.x - q.x), abs(p.y - q.y))
-
-
-def midpoint(p: Point, q: Point) -> Point:
-    """Euclidean midpoint; lies on some shortest Manhattan path p -> q."""
-    return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 
 
 def rotate45(p: Point) -> Point:

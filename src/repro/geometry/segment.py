@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry.point import Point, unrotate45
+from repro.geometry.point import Point
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,18 +45,6 @@ class Rect:
         """Doubly degenerate rectangle at a rotated-space point."""
         return Rect(p.x, p.x, p.y, p.y)
 
-    @staticmethod
-    def from_points(points: list[Point]) -> "Rect":
-        """Bounding rectangle of rotated-space points."""
-        if not points:
-            raise ValueError("from_points() requires at least one point")
-        return Rect(
-            min(p.x for p in points),
-            max(p.x for p in points),
-            min(p.y for p in points),
-            max(p.y for p in points),
-        )
-
     # ------------------------------------------------------------------
     # Basic measures
     # ------------------------------------------------------------------
@@ -71,13 +59,6 @@ class Rect:
     @property
     def center(self) -> Point:
         return Point((self.ulo + self.uhi) / 2.0, (self.vlo + self.vhi) / 2.0)
-
-    def is_point(self, tol: float = 1e-9) -> bool:
-        return self.width <= tol and self.height <= tol
-
-    def is_segment(self, tol: float = 1e-9) -> bool:
-        """Degenerate along exactly one axis — a Manhattan arc originally."""
-        return (self.width <= tol) != (self.height <= tol)
 
     # ------------------------------------------------------------------
     # Metric operations (all in L-inf)
@@ -115,12 +96,6 @@ class Rect:
         dv = max(self.vlo - p.y, p.y - self.vhi, 0.0)
         return max(du, dv)
 
-    def contains(self, p: Point, tol: float = 1e-9) -> bool:
-        return (
-            self.ulo - tol <= p.x <= self.uhi + tol
-            and self.vlo - tol <= p.y <= self.vhi + tol
-        )
-
     def intersect(self, other: "Rect") -> "Rect | None":
         """Intersection rectangle, or None when disjoint."""
         ulo = max(self.ulo, other.ulo)
@@ -140,16 +115,3 @@ class Rect:
             min(max(p.x, self.ulo), self.uhi),
             min(max(p.y, self.vlo), self.vhi),
         )
-
-    # ------------------------------------------------------------------
-    # Conversions back to the original plane
-    # ------------------------------------------------------------------
-    def corners_original(self) -> list[Point]:
-        """Corners mapped back to original (unrotated) coordinates."""
-        corners = [
-            Point(self.ulo, self.vlo),
-            Point(self.uhi, self.vlo),
-            Point(self.uhi, self.vhi),
-            Point(self.ulo, self.vhi),
-        ]
-        return [unrotate45(c) for c in corners]

@@ -11,7 +11,7 @@ OpenROAD-like baseline.
 """
 
 from repro.htree.htree import htree
-from repro.htree.ghtree import ghtree, optimal_branching
+from repro.htree.ghtree import ghtree
 from repro.htree.fishbone import fishbone
 
-__all__ = ["fishbone", "ghtree", "htree", "optimal_branching"]
+__all__ = ["fishbone", "ghtree", "htree"]

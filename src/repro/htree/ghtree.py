@@ -19,30 +19,6 @@ from repro.netlist.tree import RoutedTree
 _CANDIDATE_FACTORS = (2, 3, 4)
 
 
-def optimal_branching(
-    sinks: list[Sink],
-    lo: Point,
-    hi: Point,
-    max_leaf_sinks: int = 1,
-    candidates: tuple[int, ...] = _CANDIDATE_FACTORS,
-    max_levels: int = 10,
-) -> int:
-    """Best branching factor for this cell, by exhaustive recursion.
-
-    The search realises Han et al.'s optimal-GH-tree idea on the *actual*
-    sink distribution: for each candidate factor, simulate the split and
-    recursively cost the children (trunk wire to strip taps + stub wire at
-    the leaves), keeping the factor with the lowest total.  Work is
-    O(|candidates|^levels * n) — fine for clock-net sizes.
-    """
-    if not sinks:
-        raise ValueError("optimal_branching() needs at least one sink")
-    best_factor, _ = _search_cell(
-        sinks, lo, hi, 0, max_leaf_sinks, candidates, max_levels
-    )
-    return best_factor
-
-
 def _search_cell(
     sinks: list[Sink],
     lo: Point,

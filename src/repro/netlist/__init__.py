@@ -11,7 +11,6 @@ from repro.netlist.topology import TopologyNode, topology_leaves, topology_depth
 from repro.netlist.tree import RoutedTree, TreeNode
 from repro.netlist.tree_ops import (
     binarize,
-    extract_topology,
     prune_redundant_steiner,
     realize_detours,
     rectilinear_segments,
@@ -25,7 +24,6 @@ __all__ = [
     "TopologyNode",
     "TreeNode",
     "binarize",
-    "extract_topology",
     "prune_redundant_steiner",
     "realize_detours",
     "rectilinear_segments",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.geometry import Point, bounding_box, manhattan
+from repro.geometry import Point, bounding_box
 from repro.netlist.sink import Sink
 
 
@@ -32,22 +32,8 @@ class ClockNet:
     def fanout(self) -> int:
         return len(self.sinks)
 
-    @property
-    def pin_cap_total(self) -> float:
-        """Sum of sink pin capacitances (fF)."""
-        return sum(s.cap for s in self.sinks)
-
     def sink_points(self) -> list[Point]:
         return [s.location for s in self.sinks]
-
-    def max_source_distance(self) -> float:
-        """max Manhattan distance from the source to any sink."""
-        return max(manhattan(self.source, s.location) for s in self.sinks)
-
-    def mean_source_distance(self) -> float:
-        return sum(
-            manhattan(self.source, s.location) for s in self.sinks
-        ) / len(self.sinks)
 
     def bbox(self) -> tuple[Point, Point]:
         """Bounding box of the source and all sinks."""

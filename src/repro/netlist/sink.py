@@ -32,7 +32,3 @@ class Sink:
                 f"sink {self.name!r} has negative subtree delay "
                 f"{self.subtree_delay}"
             )
-
-    def moved_to(self, location: Point) -> "Sink":
-        """Copy of this sink at a different location."""
-        return Sink(self.name, location, self.cap, self.subtree_delay)

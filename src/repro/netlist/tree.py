@@ -247,15 +247,6 @@ class RoutedTree:
         all_pl = self.path_lengths()
         return {nid: all_pl[nid] for nid in self.sink_node_ids()}
 
-    def subtree_sink_count(self) -> dict[int, int]:
-        """Number of sink descendants (inclusive) per node."""
-        counts = {nid: (1 if self._nodes[nid].is_sink else 0) for nid in self._nodes}
-        for nid in self.postorder():
-            parent = self._nodes[nid].parent
-            if parent is not None:
-                counts[parent] += counts[nid]
-        return counts
-
     # ------------------------------------------------------------------
     # Validation / copying
     # ------------------------------------------------------------------

@@ -3,13 +3,12 @@
 Paper Fig. 2 passes trees between BST and SALT as *topologies*; Step 2
 eliminates redundant Steiner nodes and Step 4 legalises the tree so that
 (1) it is binary and (2) load pins are leaf nodes.  Those operations live
-here, together with topology extraction and rectilinearisation.
+here, together with rectilinearisation.
 """
 
 from __future__ import annotations
 
 from repro.geometry import Point, manhattan
-from repro.netlist.topology import TopologyNode
 from repro.netlist.tree import RoutedTree
 
 
@@ -104,32 +103,6 @@ def sinks_to_leaves(tree: RoutedTree) -> int:
         tree.add_child(nid, node.location, sink=sink)
         demoted += 1
     return demoted
-
-
-def extract_topology(tree: RoutedTree) -> TopologyNode:
-    """Binary merge topology over the tree's sinks (CBS Step 2).
-
-    Redundant Steiner structure is discarded; nodes with more than two
-    essential children are folded left-associatively.  Raises ValueError
-    when the tree has no sinks.
-    """
-    sub: dict[int, TopologyNode | None] = {}
-    for nid in tree.postorder():
-        node = tree.node(nid)
-        child_topos = [
-            sub[c] for c in node.children if sub[c] is not None
-        ]
-        merged: TopologyNode | None = None
-        for topo in child_topos:
-            merged = topo if merged is None else TopologyNode.merge(merged, topo)
-        if node.sink is not None:
-            leaf = TopologyNode.leaf(node.sink)
-            merged = leaf if merged is None else TopologyNode.merge(merged, leaf)
-        sub[nid] = merged
-    topo = sub[tree.root]
-    if topo is None:
-        raise ValueError("tree has no sinks; no topology to extract")
-    return topo
 
 
 def rectilinear_segments(

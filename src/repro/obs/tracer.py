@@ -260,11 +260,6 @@ class Tracer:
         self._local.stack = []
 
     # ------------------------------------------------------------------
-    def spans_named(self, name: str) -> list[Span]:
-        """Every collected span called ``name``, in preorder."""
-        return [s for root in self.roots for s in root.walk()
-                if s.name == name]
-
     def max_depth(self) -> int:
         return max((r.max_depth() for r in self.roots), default=0)
 

@@ -65,49 +65,3 @@ def clustering_cost(
     caps = np.array([cluster_cap(c, unit_cap) for c in clusters])
     delays = np.array([c.max_delay_estimate() for c in clusters])
     return float(p * caps.var() + q * delays.var())
-
-
-def silhouette_score(
-    points: list[Point],
-    labels: list[int],
-    sample_limit: int = 500,
-    seed: int = 0,
-) -> float:
-    """Mean silhouette coefficient under Manhattan distance.
-
-    For each point: a = mean intra-cluster distance, b = lowest mean
-    distance to another cluster; s = (b - a) / max(a, b).  Sampled above
-    ``sample_limit`` points to stay O(sample * n).
-    """
-    n = len(points)
-    if n != len(labels):
-        raise ValueError("points and labels must have equal length")
-    unique = sorted(set(labels))
-    if len(unique) < 2:
-        return 0.0
-    coords = np.array([[p.x, p.y] for p in points])
-    labels_arr = np.array(labels)
-
-    rng = np.random.default_rng(seed)
-    if n > sample_limit:
-        sample = rng.choice(n, size=sample_limit, replace=False)
-    else:
-        sample = np.arange(n)
-
-    scores = []
-    for i in sample:
-        dists = np.abs(coords - coords[i]).sum(axis=1)
-        own = labels_arr[i]
-        same = labels_arr == own
-        same[i] = False
-        if not same.any():
-            continue  # singleton cluster: silhouette undefined, skip
-        a = dists[same].mean()
-        b = min(
-            dists[labels_arr == other].mean()
-            for other in unique if other != own
-        )
-        denom = max(a, b)
-        if denom > 0:
-            scores.append((b - a) / denom)
-    return float(np.mean(scores)) if scores else 0.0

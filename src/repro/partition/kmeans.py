@@ -1,7 +1,7 @@
 """Balanced K-means for clock-node clustering (paper Section 3.2).
 
-``kmeans`` is a deterministic numpy Lloyd's algorithm with k-means++
-seeding; ``balanced_kmeans`` caps cluster sizes (the fanout constraint) by
+``balanced_kmeans`` runs a deterministic numpy Lloyd's algorithm with
+k-means++ seeding, then caps cluster sizes (the fanout constraint) by
 re-assigning points through :func:`repro.partition.mcf.balanced_assign`,
 following Han et al.'s K-means + min-cost-flow recipe the paper builds on
 (the capacitated assignment is that min-cost flow, solved exactly).
@@ -73,26 +73,6 @@ def _group_medians(
         values = coords[np.lexsort((coords[:, axis], labels)), axis]
         out[present, axis] = (values[lo] + values[hi]) / 2
     return out
-
-
-def kmeans(
-    points: list[Point],
-    k: int,
-    max_iters: int = 50,
-    seed: int = 0,
-) -> tuple[list[Point], list[int]]:
-    """Plain K-means (Manhattan-flavoured: medians as centers).
-
-    Returns (centers, label per point).  Deterministic for a given seed.
-    """
-    n = len(points)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n == 0:
-        raise ValueError("kmeans() requires at least one point")
-    centers, labels = _lloyd(np.array([[p.x, p.y] for p in points]),
-                             min(k, n), seed, max_iters)
-    return ([Point(x, y) for x, y in centers.tolist()], labels.tolist())
 
 
 def _lloyd(coords: np.ndarray, k: int, seed: int,
@@ -205,18 +185,13 @@ def _balanced_block(
     coords, max_size, seed = task
     n = len(coords)
     if n == 0:
-        raise ValueError("kmeans() requires at least one point")
+        raise ValueError("balanced_kmeans() requires at least one point")
     k = max(1, math.ceil(n / max_size))
     centers, labels = _lloyd(coords, k, seed)
 
     counts = np.bincount(labels, minlength=k)
     if counts.max() <= max_size:
         return centers, labels
-    assignment = balanced_assign(
-        [Point(x, y) for x, y in coords.tolist()],
-        [Point(x, y) for x, y in centers.tolist()],
-        capacity=max_size,
-    )
+    labels = balanced_assign(coords, centers, capacity=max_size)
     # recentre once after rebalancing to keep centers honest
-    labels = np.array(assignment)
     return _group_medians(coords, labels, centers), labels

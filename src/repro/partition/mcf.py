@@ -29,8 +29,8 @@ from importlib.machinery import (
 
 import numpy as np
 
-from repro.geometry import Point
 from repro.obs.metrics import METRICS
+
 
 def _scipy_optimize_dir() -> str | None:
     """The installed scipy's ``optimize`` directory, found without
@@ -71,21 +71,24 @@ _MAX_ENTRIES = 40_000_000
 
 
 def balanced_assign(
-    points: list[Point],
-    centers: list[Point],
+    coords: np.ndarray,
+    centers: np.ndarray,
     capacity: int,
-) -> list[int]:
-    """Assign each point to a center; no center exceeds ``capacity``.
+) -> np.ndarray:
+    """Assign each point of the ``(n, 2)`` array ``coords`` to a row of
+    the ``(k, 2)`` array ``centers``; no center takes more than
+    ``capacity`` points.  Returns the label array.
 
     Minimises total Manhattan distance exactly: scipy's Jonker-Volgenant
     rectangular assignment on the n x k*capacity matrix with each center
-    column repeated ``capacity`` times.  Raises ``ValueError`` when the
-    capacities cannot hold every point, or when that matrix would exceed
-    ``_MAX_ENTRIES``.
+    column repeated ``capacity`` times.  With n <= k*capacity scipy
+    returns every row, in order, so column ``c`` labels its row
+    ``c // capacity``.  Raises ``ValueError`` when the capacities cannot
+    hold every point, or when that matrix would exceed ``_MAX_ENTRIES``.
     """
-    n, k = len(points), len(centers)
+    n, k = len(coords), len(centers)
     if n == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     if k * capacity < n:
         raise ValueError(
             f"capacity infeasible: {k} centers x {capacity} < {n} points"
@@ -96,26 +99,14 @@ def balanced_assign(
             f"{_MAX_ENTRIES:,}-entry exact assignment budget; partition "
             f"in blocks (balanced_kmeans does)"
         )
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
-    cx = np.array([c.x for c in centers])
-    cy = np.array([c.y for c in centers])
-    dists = (np.abs(px[:, None] - cx[None, :])
-             + np.abs(py[:, None] - cy[None, :]))
-    return _assign_lsa(dists, capacity)
-
-
-def _assign_lsa(dists: np.ndarray, capacity: int) -> list[int]:
-    """Exact capacitated assignment via rectangular LSA on duplicated
-    center columns."""
     METRICS.inc("partition.assign_lsa")
-    expanded = np.repeat(dists, capacity, axis=1)
-    rows, cols = linear_sum_assignment(expanded)
-    assignment = [-1] * dists.shape[0]
-    total = 0.0
-    for r, c in zip(rows, cols):
-        assignment[int(r)] = int(c) // capacity
-        total += float(expanded[r, c])
-    METRICS.observe("partition.assign_cost_um", total)
-    assert all(a >= 0 for a in assignment)
-    return assignment
+    dists = (np.abs(coords[:, 0, None] - centers[None, :, 0])
+             + np.abs(coords[:, 1, None] - centers[None, :, 1]))
+    _, cols = linear_sum_assignment(np.repeat(dists, capacity, axis=1))
+    labels = cols // capacity
+    # summed left to right, as the cost always was (np.sum pairs terms)
+    METRICS.observe(
+        "partition.assign_cost_um",
+        float(np.add.accumulate(dists[np.arange(n), labels])[-1]),
+    )
+    return labels

@@ -24,8 +24,6 @@ from repro.predict.calibrate import (
     Calibration,
     calibrated_predict,
     few_shot_calibrate,
-    mean_absolute_error,
-    relative_mae,
     select_calibration_records,
 )
 from repro.predict.features import (
@@ -71,8 +69,6 @@ __all__ = [
     "fit",
     "in_sample_mae",
     "load_model",
-    "mean_absolute_error",
-    "relative_mae",
     "select_calibration_records",
     "suggest_next_round",
 ]

@@ -65,10 +65,6 @@ class Calibration:
                 out[t] = float(self.gains[i] * out[t] + self.offsets[i])
         return out
 
-    def apply_matrix(self, predictions: np.ndarray) -> np.ndarray:
-        """Correct an (n, t) prediction matrix."""
-        return predictions * self.gains + self.offsets
-
     def to_dict(self) -> dict:
         return {
             "design": self.design,
@@ -165,50 +161,3 @@ def calibrated_predict(model: RidgeModel, calibration: Calibration | None,
     if calibration is None:
         return predicted
     return calibration.apply(predicted)
-
-
-def mean_absolute_error(model: RidgeModel,
-                        calibration: Calibration | None,
-                        records: list[dict]) -> dict[str, float]:
-    """Per-target MAE of (optionally calibrated) predictions vs records.
-
-    The evaluation harness for the calibration contract: records must
-    be ``status == "ok"`` and carry every target.
-    """
-    if not records:
-        raise ValueError("no records to evaluate against")
-    predicted = np.array([
-        [model.predict_point(r["design"], float(r["scale"]),
-                             r["config"])[t]
-         for t in model.target_names]
-        for r in records
-    ])
-    if calibration is not None:
-        predicted = calibration.apply_matrix(predicted)
-    actual = np.array([
-        [float(r["quality"][t]) for t in model.target_names]
-        for r in records
-    ])
-    errors = np.abs(predicted - actual).mean(axis=0)
-    return {t: float(e) for t, e in zip(model.target_names, errors)}
-
-
-def _relative_scale(records: list[dict],
-                    target_names: tuple[str, ...]) -> np.ndarray:
-    values = np.array([
-        [abs(float(r["quality"][t])) for t in target_names]
-        for r in records
-    ])
-    return np.maximum(values.mean(axis=0), 1e-12)
-
-
-def relative_mae(model: RidgeModel, calibration: Calibration | None,
-                 records: list[dict]) -> float:
-    """One scalar: MAE per target divided by the target's own mean
-    magnitude, averaged over targets — comparable across targets with
-    wildly different units (ps vs um vs counts)."""
-    mae = mean_absolute_error(model, calibration, records)
-    scale = _relative_scale(records, model.target_names)
-    return float(np.mean([
-        mae[t] / s for t, s in zip(model.target_names, scale)
-    ]))

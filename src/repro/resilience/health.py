@@ -17,7 +17,7 @@ identical health reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 #: Every kind of fabric incident, in ladder order.
 FABRIC_EVENT_KINDS = (
@@ -80,28 +80,9 @@ class RunHealth:
     def count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
 
-    def of_kind(self, kind: str) -> Iterable[FabricEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    @property
-    def timeouts(self) -> int:
-        return self.count("timeout")
-
     @property
     def retries(self) -> int:
         return self.count("retry")
-
-    @property
-    def resurrections(self) -> int:
-        return self.count("resurrect")
-
-    @property
-    def quarantines(self) -> int:
-        return self.count("quarantine")
-
-    @property
-    def degraded_tasks(self) -> int:
-        return self.count("degraded")
 
     @property
     def healthy(self) -> bool:

@@ -30,11 +30,6 @@ class CongestionReport:
     mean_utilization: float
     routed_edges: int
 
-    @property
-    def is_routable(self) -> bool:
-        """No edge above capacity."""
-        return self.overflow <= 0.0
-
 
 def route_tree(
     tree: RoutedTree,

@@ -107,10 +107,6 @@ class SweepReport:
     health: RunHealth = field(default_factory=RunHealth)
     health_path: Path | None = None  # the .health.json sidecar
 
-    @property
-    def executed(self) -> int:
-        return self.cache_misses
-
     def summary(self) -> str:
         line = (
             f"sweep {self.spec.name!r}: {len(self.points)} points, "

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.cts.constraints import TABLE5
-from repro.cts.framework import FlowConfig, _CALLABLE_FIELDS
+from repro.cts.framework import FlowConfig, _CALLABLE_FIELDS, finite_float
 from repro.designs import design_names
 from repro.tech.buffer_library import library_names
 
@@ -120,7 +120,8 @@ def resolve_point(
     request and a swept point with the same knobs land on the same
     canonical config — and therefore the same cache key.
     """
-    skew_bound = float(combo.get("skew_bound", TABLE5.skew_bound))
+    skew_bound = finite_float("skew_bound",
+                              combo.get("skew_bound", TABLE5.skew_bound))
     library = combo.get("library", "default")
     if library not in library_names():
         raise ValueError(

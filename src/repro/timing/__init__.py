@@ -16,21 +16,9 @@ from repro.timing.buffer_model import (
     refined_critical_wirelength,
 )
 from repro.timing.ocv import OCVReport, worst_ocv_skew
-from repro.timing.sta import (
-    DataPath,
-    STAReport,
-    analyze_paths,
-    schedule_useful_skew,
-    windows_from_schedule,
-)
 
 __all__ = [
-    "DataPath",
     "ElmoreAnalyzer",
-    "STAReport",
-    "analyze_paths",
-    "schedule_useful_skew",
-    "windows_from_schedule",
     "OCVReport",
     "TimingReport",
     "critical_wirelength",

@@ -92,21 +92,6 @@ def test_cbs_sinks_are_leaves_and_binaryish():
         assert len(tree.node(nid).children) <= 2
 
 
-def test_cbs_step5_modes_agree_on_skew():
-    rng = random.Random(6)
-    net = random_net(rng, 14)
-    for mode in ("repair", "dme"):
-        tree = cbs(net, skew_bound=8.0, step5=mode)
-        assert pl_skew(tree) <= 8.0 + 1e-6
-
-
-def test_cbs_invalid_step5_rejected():
-    rng = random.Random(7)
-    net = random_net(rng, 5)
-    with pytest.raises(ValueError):
-        cbs(net, 10.0, step5="nope")
-
-
 @pytest.mark.parametrize("topology", ["greedy_dist", "greedy_merge",
                                       "bi_partition", "bi_cluster"])
 def test_cbs_all_topologies(topology):

@@ -30,8 +30,8 @@ def test_execution_fields_are_excluded_from_canonical_form():
     for name in EXECUTION_SETTINGS:
         assert name not in names, name
         assert name not in canon, name
-    # every field but the two callables is canonical
-    assert sorted(canon) == sorted(names - {"router", "partitioner"})
+    # every field but the router callable is canonical
+    assert sorted(canon) == sorted(names - {"router"})
 
 
 def test_fabric_knobs_do_not_change_the_digest():

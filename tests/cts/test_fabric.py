@@ -156,8 +156,8 @@ def test_poison_task_is_quarantined_and_innocents_survive():
     assert results[2] is None
     assert [results[0], results[1], results[3]] == [1, 4, 16]
     assert pool.last_failure_reasons[2][0] == "quarantine"
-    assert pool.health.quarantines == 1
-    assert pool.health.resurrections >= 1
+    assert pool.health.count("quarantine") == 1
+    assert pool.health.count("resurrect") >= 1
     assert not pool.health.healthy
     _assert_no_orphans()
 
@@ -170,12 +170,12 @@ def test_quarantine_persists_across_map_calls():
         second = pool.map(poison_three, [1, 2, 3, 4], fallback=_left)
     assert first[2] is None and second[2] is None
     assert second == [1, 4, None, 16]
-    assert pool.health.quarantines == 1  # convicted exactly once
+    assert pool.health.count("quarantine") == 1  # convicted exactly once
     # the second call never re-submits the poison task.  Its first
     # break convicts it when it was the only task running; when task 4
     # had started too, neither is convicted and a solo re-run of 3
     # breaks the pool once more to convict it: at most two rebuilds
-    assert pool.health.resurrections <= 2
+    assert pool.health.count("resurrect") <= 2
     assert pool.last_failure_reasons[2] == (
         "quarantine", "task is quarantined; running in-process"
     )
@@ -203,9 +203,11 @@ def test_break_with_two_started_tasks_convicts_only_the_culprit(tmp_path,
         0: ("quarantine", "task broke the pool repeatedly; "
                           "quarantined and ran in-process"),
     }
-    assert pool.health.quarantines == 1
-    assert [e.task for e in pool.health.of_kind("quarantine")] == ["task 3"]
-    assert pool.health.resurrections == 2
+    assert pool.health.count("quarantine") == 1
+    quarantined = [e.task for e in pool.health.events
+                   if e.kind == "quarantine"]
+    assert quarantined == ["task 3"]
+    assert pool.health.count("resurrect") == 2
     assert pool.health.count("pool_lost") == 0
     _assert_no_orphans()
 
@@ -215,7 +217,7 @@ def test_rebuild_budget_exhaustion_degrades_everything():
         results = pool.map(kill_all, [1, 2, 3, 4], fallback=_left)
     assert results == [None, None, None, None]
     assert pool.health.count("pool_lost") == 1
-    assert pool.health.degraded_tasks == 4
+    assert pool.health.count("degraded") == 4
     assert all(pool.last_failure_reasons[i][0] in ("pool_lost", "fault")
                for i in range(4))
     _assert_no_orphans()
@@ -272,7 +274,7 @@ def test_hung_workers_are_deadline_bounded():
     # without the deadline this would sit for 60s per hang; each expiry
     # kills the workers, so the stall is bounded by the budget per task
     assert elapsed < 30.0
-    assert pool.health.timeouts >= 1
+    assert pool.health.count("timeout") >= 1
     assert all(code == "timeout"
                for code, _ in pool.last_failure_reasons.values())
     # the default fallback: same fn, same payload, in-process
@@ -291,7 +293,7 @@ def test_corrupt_chaos_is_retried_transparently():
     assert results == [4, 9, 16]
     assert chaos.injected == 3
     assert pool.health.retries == 3
-    assert pool.health.quarantines == 0
+    assert pool.health.count("quarantine") == 0
     _assert_no_orphans()
 
 
@@ -304,8 +306,8 @@ def test_kill_chaos_resurrects_without_quarantining():
     # chaos fires once per task (the retry runs clean), so the run
     # converges with correct results and no task blamed as poison
     assert results == [4, 9, 16, 25]
-    assert pool.health.resurrections >= 1
-    assert pool.health.quarantines == 0
+    assert pool.health.count("resurrect") >= 1
+    assert pool.health.count("quarantine") == 0
     _assert_no_orphans()
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import repro.cts.framework as framework
 import repro.flowguard.checker as checker
 from repro.core.cbs import cbs
 from repro.cts import Constraints, FlowConfig, HierarchicalCTS, TABLE5
@@ -17,7 +18,6 @@ from repro.flowguard import (
     RouterFallbackChain,
     check_and_repair,
     check_tree,
-    flaky,
     forced_median_split,
     stage_fanouts,
     star_topology,
@@ -107,10 +107,10 @@ def test_fault_injector_extremes():
 
 
 def test_flaky_wrapper_raises_fault_injected():
-    fn = flaky(lambda: "ok", rate=1.0)
+    fn = FaultInjector(rate=1.0).wrap(lambda: "ok")
     with pytest.raises(FaultInjected, match="injected fault"):
         fn()
-    assert flaky(lambda: "ok", rate=0.0)() == "ok"
+    assert FaultInjector(rate=0.0).wrap(lambda: "ok")() == "ok"
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +299,9 @@ def test_check_and_repair_records_residual_violations():
 # ----------------------------------------------------------------------
 # Guarded flow end to end
 # ----------------------------------------------------------------------
-def run_guarded(n=150, seed=1, **cfg_kwargs):
+def run_guarded(n=150, seed=1, jobs=0, **cfg_kwargs):
     cfg = FlowConfig(sa_iterations=20, **cfg_kwargs)
-    flow = HierarchicalCTS(tech=Technology(), config=cfg)
+    flow = HierarchicalCTS(tech=Technology(), config=cfg, jobs=jobs)
     sinks = make_sinks(n, seed=seed)
     return flow.run(sinks, Point(60, 60)), sinks
 
@@ -315,11 +315,11 @@ def test_flow_clean_run_has_clean_diagnostics():
     assert len(result.tree.sinks()) == len(sinks)
 
 
-def test_flow_survives_always_failing_partitioner():
+def test_flow_survives_always_failing_partitioner(monkeypatch):
     inj = FaultInjector(rate=1.0, seed=0, name="partitioner")
-    result, sinks = run_guarded(
-        n=150, partitioner=inj.wrap(balanced_kmeans),
-    )
+    monkeypatch.setattr(framework, "balanced_kmeans",
+                        inj.wrap(balanced_kmeans))
+    result, sinks = run_guarded(n=150, jobs=1)
     assert inj.fired > 0
     diag = result.diagnostics
     assert diag.downgrades >= 1
@@ -328,11 +328,12 @@ def test_flow_survives_always_failing_partitioner():
     assert len(result.tree.sinks()) == len(sinks)
 
 
-def test_flow_survives_non_reducing_partitioner():
-    def one_per_point(points, max_size, seed):
+def test_flow_survives_non_reducing_partitioner(monkeypatch):
+    def one_per_point(points, max_size, seed, mapper):
         return list(points), list(range(len(points)))
 
-    result, sinks = run_guarded(n=100, partitioner=one_per_point)
+    monkeypatch.setattr(framework, "balanced_kmeans", one_per_point)
+    result, sinks = run_guarded(n=100, jobs=1)
     diag = result.diagnostics
     assert diag.forced_splits >= 1
     assert len(result.tree.sinks()) == len(sinks)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro.cts.framework as framework
 from repro.cts import (
     Constraints,
     FlowConfig,
@@ -27,10 +28,10 @@ def make_sinks(n, box=150.0, seed=0):
     ]
 
 
-def run_flow(n=200, **cfg_kwargs):
+def run_flow(n=200, jobs=0, **cfg_kwargs):
     tech = Technology()
     cfg = FlowConfig(sa_iterations=50, **cfg_kwargs)
-    flow = HierarchicalCTS(tech=tech, config=cfg)
+    flow = HierarchicalCTS(tech=tech, config=cfg, jobs=jobs)
     sinks = make_sinks(n)
     result = flow.run(sinks, Point(75.0, 75.0))
     return result, tech
@@ -137,22 +138,23 @@ def test_evaluate_solution_counts_buffers():
 # Flow-accounting regressions (stray labels, forced-split stats,
 # top-net buffers)
 # ----------------------------------------------------------------------
-def test_stray_labels_attach_to_nearest_center_not_dropped():
+def test_stray_labels_attach_to_nearest_center_not_dropped(monkeypatch):
     """A partitioner emitting labels outside range(len(centers)) used to
     silently drop those clock sinks; they must instead reach the tree,
     attached to the nearest center, with the degradation recorded."""
     from repro.partition.kmeans import balanced_kmeans
 
-    def bad_partitioner(points, max_size=32, seed=0):
+    def bad_partitioner(points, max_size=32, seed=0, mapper=map):
         centers, labels = balanced_kmeans(points, max_size=max_size,
-                                          seed=seed)
+                                          seed=seed, mapper=mapper)
         labels = [
             label if i % 7 else len(centers) + 3
             for i, label in enumerate(labels)
         ]
         return centers, labels
 
-    result, _ = run_flow(n=200, partitioner=bad_partitioner)
+    monkeypatch.setattr(framework, "balanced_kmeans", bad_partitioner)
+    result, _ = run_flow(n=200, jobs=1)
     assert sorted(s.name for s in result.tree.sinks()) == sorted(
         f"ff{i}" for i in range(200)
     )
@@ -163,19 +165,20 @@ def test_stray_labels_attach_to_nearest_center_not_dropped():
     assert strays, "stray-label degradation must be recorded"
 
 
-def test_forced_split_stats_describe_used_clusters():
+def test_forced_split_stats_describe_used_clusters(monkeypatch):
     """When the forced median split overrides a non-reducing partition,
     LevelStats must quote the cost of the clusters actually used, not
     the discarded partition's SA numbers."""
     from repro.flowguard.fallback import forced_median_split
     from repro.partition.annealing import SAConfig, total_cost
 
-    def non_reducing(points, max_size=32, seed=0):
+    def non_reducing(points, max_size=32, seed=0, mapper=map):
         return list(points), list(range(len(points)))
 
+    monkeypatch.setattr(framework, "balanced_kmeans", non_reducing)
     tech = Technology()
-    cfg = FlowConfig(sa_iterations=50, partitioner=non_reducing)
-    flow = HierarchicalCTS(tech=tech, config=cfg)
+    cfg = FlowConfig(sa_iterations=50)
+    flow = HierarchicalCTS(tech=tech, config=cfg, jobs=1)
     sinks = make_sinks(40)
     result = flow.run(sinks, Point(75.0, 75.0))
 
@@ -193,21 +196,24 @@ def test_forced_split_stats_describe_used_clusters():
     assert level0.sa_cost_before == level0.sa_cost_after == expected
 
 
-def test_partition_resplit_counts_each_halving():
+def test_partition_resplit_counts_each_halving(monkeypatch):
     from repro.flowguard.diagnostics import FlowDiagnostics
     from repro.obs import METRICS
     from repro.partition import balanced_kmeans
 
     sizes = []
 
-    def partitioner(points, max_size, seed):
+    def partitioner(points, max_size, seed, mapper):
         sizes.append(max_size)
-        return balanced_kmeans(points, max_size=max_size, seed=seed)
+        return balanced_kmeans(points, max_size=max_size, seed=seed,
+                               mapper=mapper)
 
+    monkeypatch.setattr(framework, "balanced_kmeans", partitioner)
     # a 1 fF cap budget no cluster can meet: the loop halves to the floor
     flow = HierarchicalCTS(
         constraints=Constraints(max_cap=1.0),
-        config=FlowConfig(partitioner=partitioner, use_sa=False),
+        config=FlowConfig(use_sa=False),
+        jobs=1,
     )
     METRICS.reset()
     flow._partition_inner(make_sinks(100), 0, FlowDiagnostics())

@@ -136,7 +136,7 @@ def test_dead_pool_degrades_to_serial_with_fault_events(monkeypatch):
     serial, tech = run_flow(200, 0, jobs=1)
     degraded, _ = run_flow(200, 0, jobs=2)
     assert quality(serial, tech) == quality(degraded, tech)
-    faults = degraded.diagnostics.events_of("fault")
+    faults = [e for e in degraded.diagnostics.events if e.kind == "fault"]
     assert faults and all(
         "parallel worker failed" in e.detail for e in faults
     )
@@ -173,7 +173,7 @@ def test_degraded_cluster_routes_in_its_slot(monkeypatch):
     pooled, pooled_log = flow(2)
     assert serial.levels[0].num_clusters > 3
     assert pooled_log == serial_log
-    faults = pooled.diagnostics.events_of("fault")
+    faults = [e for e in pooled.diagnostics.events if e.kind == "fault"]
     assert [e.net for e in faults] == ["L0_c2"]
     assert "injected worker failure" in faults[0].detail
 

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dme import ElmoreDelay, LinearDelay, bst_dme, bst_dme_on_topology, zst_dme
+from repro.dme import ElmoreDelay, LinearDelay, bi_partition, bst_dme, zst_dme
 from repro.geometry import Point
-from repro.netlist import ClockNet, Sink, extract_topology
+from repro.netlist import ClockNet, Sink
 from repro.tech import Technology
 from repro.timing import ElmoreAnalyzer
 
@@ -95,12 +95,11 @@ def test_unknown_topology_name_rejected():
 
 
 def test_fixed_topology_mode():
-    """Re-embedding an extracted topology keeps sinks and the bound."""
+    """Embedding a given fixed topology keeps sinks and the bound."""
     rng = random.Random(6)
     net = random_net(rng, 10)
-    base = bst_dme(net, skew_bound=5.0)
-    topo = extract_topology(base)
-    tree = bst_dme_on_topology(net, topo, skew_bound=5.0)
+    topo = bi_partition(net.sinks)
+    tree = bst_dme(net, skew_bound=5.0, topology=topo)
     tree.validate()
     assert sorted(s.name for s in tree.sinks()) == sorted(
         s.name for s in net.sinks

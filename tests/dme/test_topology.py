@@ -14,7 +14,11 @@ from repro.dme import (
 )
 from repro.geometry import Point
 from repro.netlist import Sink
-from repro.netlist.topology import topology_depth, topology_leaves
+from repro.netlist.topology import (
+    topology_depth,
+    topology_leaves,
+    topology_size,
+)
 
 
 def make_sinks(n, seed=0):
@@ -89,3 +93,4 @@ def test_generators_random_property(n, seed):
     for gen in (greedy_dist, greedy_merge, bi_partition, bi_cluster):
         topo = gen(sinks)
         assert len(topology_leaves(topo)) == n
+        assert topology_size(topo) == 2 * n - 1  # a full binary tree

@@ -1,9 +1,14 @@
-"""Tests for convex hull, boundary membership and diameters."""
+"""Tests for convex hull vertices, boundary membership and HPWL."""
 
 from hypothesis import given, strategies as st
 
-from repro.geometry import Point, convex_hull, manhattan, manhattan_diameter
-from repro.geometry.hull import bounding_box, half_perimeter, points_on_hull
+from repro.geometry import Point
+from repro.geometry.hull import (
+    _hull_vertices,
+    bounding_box,
+    half_perimeter,
+    points_on_hull,
+)
 
 coords = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -12,21 +17,20 @@ points = st.builds(Point, coords, coords)
 
 
 def test_hull_square():
-    pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2), Point(1, 1)]
-    hull = convex_hull(pts)
+    pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
+    hull = _hull_vertices(pts)
     assert len(hull) == 4
-    assert Point(1, 1) not in hull
+    assert (1, 1) not in hull
 
 
 def test_hull_collinear():
-    pts = [Point(0, 0), Point(1, 1), Point(2, 2)]
-    hull = convex_hull(pts)
-    assert set((p.x, p.y) for p in hull) == {(0, 0), (2, 2)}
+    hull = _hull_vertices([(0, 0), (1, 1), (2, 2)])
+    assert set(hull) == {(0, 0), (2, 2)}
 
 
 def test_hull_duplicates():
-    pts = [Point(0, 0)] * 5 + [Point(1, 0)] * 3
-    assert len(convex_hull(pts)) == 2
+    pts = [(0, 0)] * 5 + [(1, 0)] * 3
+    assert len(_hull_vertices(pts)) == 2
 
 
 def test_points_on_hull_square():
@@ -44,22 +48,14 @@ def test_points_on_hull_single():
 
 @given(st.lists(points, min_size=3, max_size=25))
 def test_hull_contains_extremes(pts):
-    hull = convex_hull(pts)
-    hull_set = set((p.x, p.y) for p in hull)
+    hull = _hull_vertices([(p.x, p.y) for p in pts])
+    hull_set = set(hull)
     xs = [p.x for p in pts]
     leftmost = min(pts, key=lambda p: (p.x, p.y))
     rightmost = max(pts, key=lambda p: (p.x, p.y))
     assert (leftmost.x, leftmost.y) in hull_set
     assert (rightmost.x, rightmost.y) in hull_set
-    assert min(xs) == min(p.x for p in hull)
-
-
-@given(st.lists(points, min_size=2, max_size=40))
-def test_manhattan_diameter_matches_bruteforce(pts):
-    brute = max(
-        manhattan(a, b) for i, a in enumerate(pts) for b in pts[i:]
-    )
-    assert abs(manhattan_diameter(pts) - brute) < 1e-6
+    assert min(xs) == min(x for x, _ in hull)
 
 
 def test_bounding_box_and_hpwl():

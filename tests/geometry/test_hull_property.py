@@ -13,8 +13,8 @@ tolerance band of an edge.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.geometry import Point, convex_hull
-from repro.geometry.hull import points_on_hull
+from repro.geometry import Point
+from repro.geometry.hull import _hull_vertices, points_on_hull
 from tests.geometry import hull_oracle
 
 #: Offsets around the boundary test's 1e-9 tolerance band.
@@ -59,5 +59,5 @@ def _exact(points):
 def test_points_on_hull_matches_oracle(coords):
     points = [Point(x, y) for x, y in coords]
     assert points_on_hull(points) == hull_oracle.points_on_hull(points)
-    assert _exact(convex_hull(points)) == \
+    assert _exact(Point(x, y) for x, y in _hull_vertices(coords)) == \
         _exact(hull_oracle.convex_hull(points))

@@ -107,16 +107,6 @@ def test_htree_ghtree_random_property(n, seed):
         assert names == sorted(s.name for s in net.sinks)
 
 
-def test_optimal_branching_search():
-    from repro.htree.ghtree import optimal_branching
-
-    net = grid_net()
-    factor = optimal_branching(net.sinks, Point(0, 0), Point(30, 30))
-    assert factor in (2, 3, 4)
-    with pytest.raises(ValueError):
-        optimal_branching([], Point(0, 0), Point(1, 1))
-
-
 def test_ghtree_optimize_not_worse_than_greedy():
     rng = random.Random(12)
     total_greedy = total_dp = 0.0

@@ -87,14 +87,6 @@ def test_buffers_tracked():
     assert tree.node(a).is_buffer and not tree.node(a).is_steiner
 
 
-def test_subtree_sink_count():
-    tree, a, b, c = small_tree()
-    counts = tree.subtree_sink_count()
-    assert counts[tree.root] == 2
-    assert counts[a] == 1
-    assert counts[b] == 1
-
-
 def test_copy_is_deep():
     tree, a, b, c = small_tree()
     clone = tree.copy()

@@ -77,7 +77,6 @@ def test_random_surgery_keeps_tree_valid(seed, n_ops):
     # all metrics computable
     tree.wirelength()
     tree.path_lengths()
-    tree.subtree_sink_count()
 
     # legalisation always succeeds afterwards
     sinks_to_leaves(tree)

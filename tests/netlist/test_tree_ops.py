@@ -1,4 +1,4 @@
-"""Tests for tree surgery: pruning, binarisation, legalisation, topology."""
+"""Tests for tree surgery: pruning, binarisation, legalisation."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,12 +8,10 @@ from repro.netlist import (
     RoutedTree,
     Sink,
     binarize,
-    extract_topology,
     prune_redundant_steiner,
     rectilinear_segments,
     sinks_to_leaves,
 )
-from repro.netlist.topology import topology_leaves, topology_size
 from repro.netlist.tree_ops import tree_from_parent_map
 
 
@@ -87,31 +85,6 @@ def test_sinks_to_leaves():
         assert not tree.node(nid).children, "sinks must be leaves"
     assert len(tree.sinks()) == 2
     assert tree.wirelength() == 2  # new leaf is zero-length
-
-
-def test_extract_topology_collects_all_sinks():
-    tree = RoutedTree(Point(0, 0))
-    a = tree.add_child(tree.root, Point(1, 1))
-    for i in range(3):
-        tree.add_child(a, Point(2, i), sink=Sink(f"s{i}", Point(2, i)))
-    tree.add_child(tree.root, Point(0, 5), sink=Sink("far", Point(0, 5)))
-    topo = extract_topology(tree)
-    names = sorted(s.name for s in topology_leaves(topo))
-    assert names == ["far", "s0", "s1", "s2"]
-    # binary topology over n leaves has 2n-1 nodes
-    assert topology_size(topo) == 2 * 4 - 1
-
-
-def test_extract_topology_single_sink():
-    tree = RoutedTree(Point(0, 0))
-    tree.add_child(tree.root, Point(1, 0), sink=Sink("only", Point(1, 0)))
-    topo = extract_topology(tree)
-    assert topo.is_leaf and topo.sink.name == "only"
-
-
-def test_extract_topology_empty_raises():
-    with pytest.raises(ValueError):
-        extract_topology(RoutedTree(Point(0, 0)))
 
 
 def test_rectilinear_segments_cover_wirelength():

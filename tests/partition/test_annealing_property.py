@@ -19,6 +19,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+import repro.cts.framework as framework
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.cts.constraints import Constraints
 from repro.flowguard.diagnostics import FlowDiagnostics
@@ -153,12 +154,14 @@ def test_level_sa_costs_equal_total_cost(nets, cfg):
         constraints=Constraints(max_fanout=cfg.max_fanout,
                                 max_cap=cfg.max_cap,
                                 max_length=cfg.max_length),
-        config=FlowConfig(
-            sa_iterations=cfg.iterations, seed=cfg.seed,
-            partitioner=lambda points, max_size, seed: (centers, labels)),
+        config=FlowConfig(sa_iterations=cfg.iterations, seed=cfg.seed),
         jobs=1,
     )
-    kept, before, after = flow._partition_inner(sinks, 0, FlowDiagnostics())
+    with mock.patch.object(
+            framework, "balanced_kmeans",
+            lambda points, max_size, seed, mapper: (centers, labels)):
+        kept, before, after = flow._partition_inner(
+            sinks, 0, FlowDiagnostics())
     sa_cfg = flow._sa_config(0)
     # the state SA hands back (empty nets included), or the input when
     # a one-net level skips SA

@@ -1,18 +1,14 @@
 """Tests for (balanced) K-means."""
 
-import importlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.partition.kmeans as kmeans_mod
 from repro.geometry import Point
-from repro.partition import balanced_kmeans, kmeans, silhouette_score
-
-# ``repro.partition`` re-exports the ``kmeans`` function under the
-# module's name, so bind the module explicitly.
-kmeans_mod = importlib.import_module("repro.partition.kmeans")
+from repro.partition import balanced_kmeans
 
 
 def two_blobs(rng, n_per=20, sep=100.0):
@@ -21,10 +17,14 @@ def two_blobs(rng, n_per=20, sep=100.0):
     return pts
 
 
+def xy(points):
+    return np.array([[p.x, p.y] for p in points])
+
+
 def test_kmeans_separates_blobs():
     rng = random.Random(0)
     pts = two_blobs(rng)
-    centers, labels = kmeans(pts, k=2, seed=1)
+    centers, labels = kmeans_mod._lloyd(xy(pts), 2, seed=1)
     left = {labels[i] for i in range(20)}
     right = {labels[i] for i in range(20, 40)}
     assert len(left) == 1 and len(right) == 1 and left != right
@@ -32,22 +32,15 @@ def test_kmeans_separates_blobs():
 
 def test_kmeans_determinism():
     rng = random.Random(3)
-    pts = two_blobs(rng)
-    a = kmeans(pts, 3, seed=7)
-    b = kmeans(pts, 3, seed=7)
-    assert a[1] == b[1]
+    coords = xy(two_blobs(rng))
+    a = kmeans_mod._lloyd(coords, 3, seed=7)
+    b = kmeans_mod._lloyd(coords, 3, seed=7)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_kmeans_validation():
-    with pytest.raises(ValueError):
-        kmeans([], 2)
-    with pytest.raises(ValueError):
-        kmeans([Point(0, 0)], 0)
-
-
-def test_kmeans_k_clamped_to_n():
-    centers, labels = kmeans([Point(0, 0), Point(1, 1)], k=10)
-    assert len(centers) == 2
+    with pytest.raises(ValueError, match="at least one point"):
+        balanced_kmeans([], max_size=2)
 
 
 def test_nearest_center_labels_take_lowest_index_in_every_chunk(monkeypatch):
@@ -79,24 +72,6 @@ def test_balanced_kmeans_respects_max_size():
 def test_balanced_kmeans_validation():
     with pytest.raises(ValueError):
         balanced_kmeans([Point(0, 0)], max_size=0)
-
-
-def test_silhouette_good_vs_bad():
-    rng = random.Random(8)
-    pts = two_blobs(rng)
-    good = [0] * 20 + [1] * 20
-    bad = [i % 2 for i in range(40)]
-    assert silhouette_score(pts, good) > 0.8
-    assert silhouette_score(pts, bad) < silhouette_score(pts, good)
-
-
-def test_silhouette_single_cluster_is_zero():
-    assert silhouette_score([Point(0, 0), Point(1, 1)], [0, 0]) == 0.0
-
-
-def test_silhouette_length_mismatch():
-    with pytest.raises(ValueError):
-        silhouette_score([Point(0, 0)], [0, 1])
 
 
 @given(st.integers(min_value=1, max_value=60),

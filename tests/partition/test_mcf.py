@@ -14,6 +14,11 @@ from repro.obs.metrics import METRICS
 from repro.partition import balanced_assign
 
 
+def xy(points):
+    """The ``(n, 2)`` coordinate array ``balanced_assign`` takes."""
+    return np.array([[p.x, p.y] for p in points]).reshape(-1, 2)
+
+
 def brute_force_assignment_cost(points, centers, capacity):
     """Optimal balanced assignment by exhaustive search (tiny instances)."""
     n, k = len(points), len(centers)
@@ -40,7 +45,7 @@ def test_balanced_assign_matches_bruteforce(n, k, seed):
     capacity = max(1, (n + k - 1) // k)
     if k * capacity < n:
         capacity += 1
-    assignment = balanced_assign(points, centers, capacity)
+    assignment = balanced_assign(xy(points), xy(centers), capacity).tolist()
     counts = [assignment.count(j) for j in range(k)]
     assert max(counts) <= capacity
     cost = sum(manhattan(points[i], centers[assignment[i]]) for i in range(n))
@@ -77,7 +82,7 @@ def test_balanced_assign_cost_is_transportation_lp_optimum(n, k, seed):
     points = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(n)]
     centers = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(k)]
     capacity = math.ceil(n / k)
-    assignment = balanced_assign(points, centers, capacity)
+    assignment = balanced_assign(xy(points), xy(centers), capacity).tolist()
     assert max(assignment.count(j) for j in range(k)) <= capacity
     cost = sum(manhattan(points[i], centers[assignment[i]]) for i in range(n))
     assert cost == pytest.approx(
@@ -89,8 +94,8 @@ def test_balanced_assign_respects_capacity_at_scale():
     rng = random.Random(1)
     points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(300)]
     centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(12)]
-    assignment = balanced_assign(points, centers, capacity=25)
-    counts = [assignment.count(j) for j in range(12)]
+    assignment = balanced_assign(xy(points), xy(centers), capacity=25)
+    counts = np.bincount(assignment, minlength=12).tolist()
     assert max(counts) <= 25
     assert sum(counts) == 300
 
@@ -105,14 +110,36 @@ def test_balanced_assign_refuses_oversized_instance():
                for _ in range(100)]
     before = METRICS.counter("partition.assign_lsa")
     with pytest.raises(ValueError, match="exact assignment budget"):
-        balanced_assign(points, centers, capacity=201)
+        balanced_assign(xy(points), xy(centers), capacity=201)
     assert METRICS.counter("partition.assign_lsa") == before
 
 
 def test_balanced_assign_infeasible():
     with pytest.raises(ValueError):
-        balanced_assign([Point(0, 0)] * 5, [Point(0, 0)], capacity=4)
+        balanced_assign(np.zeros((5, 2)), np.zeros((1, 2)), capacity=4)
 
 
 def test_balanced_assign_empty():
-    assert balanced_assign([], [Point(0, 0)], capacity=1) == []
+    labels = balanced_assign(np.empty((0, 2)), np.zeros((1, 2)), capacity=1)
+    assert labels.dtype == np.int64 and labels.size == 0
+
+
+def test_assign_cost_is_observed_as_a_left_to_right_sum(monkeypatch):
+    """``partition.assign_cost_um`` adds the assigned distances in row
+    order, as a Python loop would; numpy's pairwise ``sum`` rounds
+    differently on this instance."""
+    rng = random.Random(3)
+    points = [Point(rng.uniform(0, 100), rng.uniform(0, 100))
+              for _ in range(300)]
+    centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100))
+               for _ in range(12)]
+    observed = []
+    monkeypatch.setattr(METRICS, "observe",
+                        lambda name, value: observed.append((name, value)))
+    labels = balanced_assign(xy(points), xy(centers), capacity=25)
+    chosen = [manhattan(p, centers[j]) for p, j in zip(points, labels)]
+    total = 0.0
+    for d in chosen:
+        total += d
+    assert observed == [("partition.assign_cost_um", total)]
+    assert float(np.sum(chosen)) != total

@@ -16,11 +16,10 @@ from repro.predict import (
     Calibration,
     calibrated_predict,
     few_shot_calibrate,
-    mean_absolute_error,
-    relative_mae,
     select_calibration_records,
 )
 from repro.sweep import SweepSpec, SweepStore, run_sweep
+from tests.predict.evaluation import mean_absolute_error, relative_mae
 
 HELD_OUT_DESIGN = "s38417"
 HELD_OUT_SCALE = 0.02
@@ -132,8 +131,9 @@ def test_mean_absolute_error_shape(smoke_model, held_out_records):
 
 def test_identity_calibration_roundtrip():
     identity = Calibration.identity("s38584", 1.0)
-    matrix = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]])
-    assert np.array_equal(identity.apply_matrix(matrix), matrix)
+    predicted = {t: float(i + 1)
+                 for i, t in enumerate(identity.target_names)}
+    assert identity.apply(predicted) == predicted
     payload = identity.to_dict()
     assert payload["points"] == 0
     assert all(t["gain"] == 1.0 and t["offset"] == 0.0

@@ -24,13 +24,12 @@ def test_record_and_counters():
     health.record("quarantine", task="net L0_c1")
     health.record("degraded", task="net L0_c1")
     assert not health.healthy
-    assert health.timeouts == 1
+    assert health.count("timeout") == 1
     assert health.retries == 2
-    assert health.resurrections == 1
-    assert health.quarantines == 1
-    assert health.degraded_tasks == 1
+    assert health.count("resurrect") == 1
+    assert health.count("quarantine") == 1
+    assert health.count("degraded") == 1
     assert "2 retry" in health.summary()
-    assert len(health.of_kind("retry")) == 2
 
 
 def test_unknown_kind_rejected():

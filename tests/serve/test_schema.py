@@ -85,6 +85,37 @@ def test_invalid_payloads_are_typed_rejections(payload, needle):
     assert needle in str(excinfo.value)
 
 
+@pytest.mark.parametrize("config, needle", [
+    ({"eps": "0.3"}, "'eps' must be a finite number"),
+    ({"eps": float("nan")}, "'eps' must be a finite number"),
+    ({"source_slew": float("inf")}, "'source_slew' must be a finite number"),
+    ({"eps": True}, "'eps' must be a finite number"),
+    ({"topology": "nope"}, "unknown topology 'nope'"),
+    ({"sa_iterations": 200.7}, "'sa_iterations' must be an integer"),
+    ({"sa_iterations": "200"}, "'sa_iterations' must be an integer"),
+    ({"use_sa": 1}, "'use_sa' must be a boolean"),
+    ({"skew_bound": "20"}, "'skew_bound' must be a finite number"),
+    ({"skew_bound": True}, "'skew_bound' must be a finite number"),
+])
+def test_wrong_typed_knobs_are_typed_rejections(config, needle):
+    """A knob of the wrong type is a 400, never a run: ``"0.3"`` used to
+    fail inside the router, ``"nope"`` to fall back to a star tree
+    stored as ``ok``, 200.7 to share 200's key and ``1`` to get a key
+    apart from ``true``."""
+    with pytest.raises(RequestError) as excinfo:
+        parse_request({"design": DESIGN, "config": config})
+    assert needle in str(excinfo.value)
+
+
+def test_integral_spellings_share_a_key():
+    a = parse_request({"design": DESIGN, "config": {
+        "eps": 0, "sa_iterations": 200.0, "skew_bound": 60}})
+    b = parse_request({"design": DESIGN, "config": {
+        "eps": 0.0, "sa_iterations": 200, "skew_bound": 60.0}})
+    assert a.key == b.key
+    assert dict(a.point.overrides) == {"eps": 0.0, "sa_iterations": 200}
+
+
 def test_request_error_is_a_value_error():
     """main() maps ValueError to exit 2; RequestError must qualify."""
     assert issubclass(RequestError, ValueError)

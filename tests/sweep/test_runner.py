@@ -313,5 +313,5 @@ def test_default_config_pooled_sweep_clamps_silently(
     monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
     with caplog.at_level(logging.WARNING, logger="repro"):
         report = run_sweep(_spec(), SweepStore(tmp_path), jobs=2)
-    assert report.failed == 0 and report.executed == 4
+    assert report.failed == 0 and report.cache_misses == 4
     assert not caplog.records

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.sweep import SweepSpec, load_spec, spec_from_dict, sweepable_keys
+from repro.sweep import (
+    SweepSpec,
+    SweepStore,
+    load_spec,
+    run_sweep,
+    spec_from_dict,
+    sweepable_keys,
+)
 
 
 def test_grid_expansion_order_is_deterministic():
@@ -59,9 +66,8 @@ def test_engine_knobs_are_sweepable():
     assert "skew_bound" in sweepable_keys()
     assert "library" in sweepable_keys()
     assert "eps" in sweepable_keys()
-    # callables are not sweepable
+    # the router callable is not sweepable
     assert "router" not in sweepable_keys()
-    assert "partitioner" not in sweepable_keys()
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -78,6 +84,17 @@ def test_engine_knobs_are_sweepable():
 def test_invalid_specs_fail_eagerly(bad, match):
     with pytest.raises(ValueError, match=match):
         spec_from_dict(bad)
+
+
+def test_unknown_topology_fails_before_any_point_runs(tmp_path):
+    """A grid naming no topology generator used to run, fall back to a
+    star tree and store the result as ``ok``."""
+    spec = spec_from_dict({"designs": ["s38584"], "scales": [0.05],
+                           "grid": {"topology": ["nope"]}})
+    store = SweepStore(tmp_path)
+    with pytest.raises(ValueError, match="unknown topology 'nope'"):
+        run_sweep(spec, store)
+    assert not any(tmp_path.rglob("*.json*"))
 
 
 def test_unknown_top_level_key_rejected():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import cbs, evaluate_tree
-from repro.core.transforms import fit_ps_per_um, skew_bound_to_um
 from repro.cts import FlowConfig, HierarchicalCTS, TABLE5
 from repro.cts.evaluation import evaluate_result
 from repro.designs import load_design
@@ -15,7 +14,6 @@ from repro.geometry import Point
 from repro.io import read_net, write_net
 from repro.io.treefile import read_tree, write_tree
 from repro.netlist import ClockNet, Sink
-from repro.salt import salt
 from repro.tech import Technology, default_library
 from repro.timing import ElmoreAnalyzer
 from repro.viz import render_svg
@@ -66,23 +64,6 @@ def test_design_to_flow_to_artifacts(tmp_path):
     )
     assert rep2.latency_ps == pytest.approx(rep.latency_ps)
     assert rep2.num_buffers == rep.num_buffers
-
-
-def test_transform_calibrated_linear_flow():
-    """Linear-model CBS driven by a ps budget through domain calibration,
-    verified in the Elmore domain."""
-    tech = Technology()
-    rng = random.Random(7)
-    net = ClockNet("cal", Point(20, 20), [
-        Sink(f"s{i}", Point(rng.uniform(0, 60), rng.uniform(0, 60)))
-        for i in range(20)
-    ])
-    probe = salt(net, eps=0.2)
-    fit = fit_ps_per_um(probe, tech)
-    bound_um = skew_bound_to_um(8.0, fit, safety=1.5)
-    tree = cbs(net, skew_bound=bound_um)
-    skew_ps = ElmoreAnalyzer(tech).analyze(tree).skew
-    assert skew_ps <= 8.0 * 1.5  # calibrated, with its declared safety
 
 
 def test_ust_in_hierarchy_context():
