@@ -122,7 +122,16 @@ def _knob_value(name: str, kind: str, value):
 class FlowConfig:
     """Knobs of the hierarchical flow: what it computes, never where it
     runs (worker count and resilience budgets are
-    :class:`HierarchicalCTS` arguments)."""
+    :class:`HierarchicalCTS` arguments).
+
+    Every scalar knob is checked and normalised on construction, however
+    the config is built: a bool, non-number or non-finite value for a
+    float knob, a non-integral one for an int knob, a non-bool for a
+    bool knob and a ``topology`` that names no generator all raise
+    ``ValueError`` naming the field.  Integral spellings normalise
+    (``0`` is ``0.0`` for a float knob, ``200.0`` is ``200`` for an int
+    one), so equal knobs give equal configs and equal digests.
+    """
 
     topology: str = "greedy_dist"     # CBS Step 1 merge scheme
     eps: float = 0.3                  # CBS Step 3 relaxation
@@ -136,17 +145,21 @@ class FlowConfig:
     # constraint-repair passes per net before violations become residual
     repair_budget: int = 2
 
+    def __post_init__(self) -> None:
+        for name, kind in _KNOB_FIELDS:
+            setattr(self, name, _knob_value(name, kind, getattr(self, name)))
+
     # ------------------------------------------------------------------
     # Canonical serialisation (the sweep store's cache-key substrate)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Canonical, JSON-ready form of this config.
 
-        Every scalar knob appears under its field name with a
-        normalised type (ints stay ints, floats become floats), so two
-        configs that compare equal serialise to identical dicts.  A
-        config carrying a pluggable ``router`` is not serialisable and
-        raises ``ValueError``.
+        Every scalar knob appears under its field name with the type
+        construction normalised it to, so two configs that compare
+        equal serialise to identical dicts.  A config carrying a
+        pluggable ``router`` is not serialisable and raises
+        ``ValueError``.
         """
         for name in _CALLABLE_FIELDS:
             if getattr(self, name) is not None:
@@ -154,19 +167,7 @@ class FlowConfig:
                     f"FlowConfig.{name} holds a callable and cannot be "
                     f"serialised; clear it before to_dict()/digest()"
                 )
-        out: dict = {}
-        for f in fields(self):
-            if f.name in _CALLABLE_FIELDS:
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                out[f.name] = value
-            elif isinstance(value, int) and f.type != "float":
-                out[f.name] = int(value)
-            else:
-                out[f.name] = float(value) if isinstance(value, (int, float)) \
-                    else value
-        return out
+        return {name: getattr(self, name) for name, _ in _KNOB_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FlowConfig":
@@ -174,23 +175,16 @@ class FlowConfig:
 
         Unknown keys raise ``ValueError`` — a sweep spec naming a knob
         that does not exist must fail loudly, not silently run the
-        defaults.  So does a value of the wrong type: a bool, non-number
-        or non-finite value for a float knob, a non-integral one for an
-        int knob, a non-bool for a bool knob, and a ``topology`` that
-        names no generator.  Integral spellings normalise exactly as
-        ``to_dict`` does (``0`` is ``0.0`` for a float knob, ``200.0``
-        is ``200`` for an int one), so ``from_dict(d).to_dict() == d``
-        for any canonical ``d``.
+        defaults.  Values are checked as on any construction, so
+        ``from_dict(d).to_dict() == d`` for any canonical ``d``.
         """
-        known = {f.name for f in fields(cls) if f.name not in _CALLABLE_FIELDS}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(FLOW_KNOBS))
         if unknown:
             raise ValueError(
                 f"unknown FlowConfig field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
+                f"known fields: {sorted(FLOW_KNOBS)}"
             )
-        return cls(**{f.name: _knob_value(f.name, f.type, data[f.name])
-                      for f in fields(cls) if f.name in data})
+        return cls(**data)
 
     def digest(self) -> str:
         """Stable content hash of the canonical form (hex sha256).
@@ -203,6 +197,16 @@ class FlowConfig:
             sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: (name, annotated type) of each serialisable :class:`FlowConfig` knob
+#: in field order, read once here rather than from ``fields()`` on every
+#: construction and serialisation.
+_KNOB_FIELDS = tuple((f.name, f.type) for f in fields(FlowConfig)
+                     if f.name not in _CALLABLE_FIELDS)
+
+#: Names of the serialisable :class:`FlowConfig` knobs, in field order.
+FLOW_KNOBS = tuple(name for name, _ in _KNOB_FIELDS)
 
 
 @dataclass(slots=True)

@@ -165,6 +165,12 @@ def design_features(name: str, scale: float = 1.0) -> tuple[float, ...]:
     return cached
 
 
+def design_features_memoised(name: str, scale: float = 1.0) -> bool:
+    """True when :func:`design_features` of ``(name, scale)`` is a dict
+    lookup, false when it would generate the design's placement."""
+    return (name, float(scale)) in _DESIGN_CACHE
+
+
 def _compute_design_features(name: str,
                              scale: float) -> tuple[float, ...]:
     design = load_design(name, scale=scale)

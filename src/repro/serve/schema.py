@@ -18,13 +18,15 @@ unknown designs, unknown knobs, out-of-range scales all raise a typed
 :func:`repro.sweep.spec.resolve_point`, the *same* normalisation path
 sweeps use — to a :class:`~repro.sweep.spec.SweepPoint` and its
 content-addressed cache key, so a served request and a swept point
-with the same knobs hit the same store entry byte-for-byte.
+with the same knobs hit the same store entry byte-for-byte.  The
+canonical config is built once per request and carried on it: the
+cache key and the model's hint read the same dict.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.designs import design_fingerprint, design_names
 from repro.sweep.spec import SweepPoint, resolve_point, sweepable_keys
@@ -40,6 +42,8 @@ REQUEST_FIELDS = (
     "design", "scale", "config", "priority", "deadline_s", "stream",
 )
 
+_SWEEPABLE = frozenset(sweepable_keys())
+
 
 @dataclass(frozen=True, slots=True)
 class ServeRequest:
@@ -48,6 +52,8 @@ class ServeRequest:
     point: SweepPoint          # normalised knobs (index is always 0)
     fingerprint: str           # design content hash (cache-key half)
     key: str                   # full content-addressed record key
+    # the point's canonical config: what ``key`` hashes and the model reads
+    config: dict = field(compare=False, repr=False)
     priority: int = 0          # higher runs sooner (FIFO within a tier)
     deadline_s: float = 0.0    # per-request budget; 0 = server default
     stream: bool = False       # NDJSON progress stream vs one response
@@ -88,10 +94,9 @@ def parse_request(data) -> ServeRequest:
     _require(isinstance(config, dict),
              f"'config' must be an object of knobs, got "
              f"{type(config).__name__}")
-    allowed = set(sweepable_keys())
-    bad = sorted(set(config) - allowed)
+    bad = sorted(set(config) - _SWEEPABLE)
     _require(not bad,
-             f"unknown knob(s) {bad}; sweepable: {sorted(allowed)}")
+             f"unknown knob(s) {bad}; sweepable: {sorted(_SWEEPABLE)}")
 
     priority = data.get("priority", 0)
     _require(isinstance(priority, int) and not isinstance(priority, bool),
@@ -111,11 +116,12 @@ def parse_request(data) -> ServeRequest:
     except ValueError as exc:
         raise RequestError(str(exc)) from exc
     fingerprint = design_fingerprint(design, point.scale)
-    key = record_key(fingerprint, point.canonical_config())
+    canonical = point.canonical_config()
     return ServeRequest(
         point=point,
         fingerprint=fingerprint,
-        key=key,
+        key=record_key(fingerprint, canonical),
+        config=canonical,
         priority=int(priority),
         deadline_s=float(deadline),
         stream=stream,

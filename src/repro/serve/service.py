@@ -4,10 +4,13 @@
 ServeRequest`\\ s through four layers, cheapest first:
 
 1. **Store hit** — the request's content-addressed key is already in
-   the :class:`~repro.sweep.store.SweepStore`: answer straight from
-   disk (``serve.cache.hit``), the common case at scale.  The stored
-   record is returned untouched, so a hit response's payload is
-   byte-identical to the stored bytes.
+   the :class:`~repro.sweep.store.SweepStore` (``serve.cache.hit``),
+   the common case at scale.  The service keeps up to
+   :data:`HOT_RECORDS` records in memory, least recently used out
+   first, so a key's first hit reads its file (``serve.store.read``)
+   and every later one is a dict lookup.  A record is written once
+   under its key, so the copy in memory is the stored record, and a
+   hit response's payload is byte-identical to the stored bytes.
 2. **Single-flight** — an identical request is already executing: the
    newcomer coalesces onto the in-flight computation instead of
    running it again (``serve.flight.coalesced``); N concurrent
@@ -31,17 +34,19 @@ ServeRequest`\\ s through four layers, cheapest first:
    one dispatcher (``jobs=1``, or auto on one usable CPU) the flow
    runs on the dispatcher's thread in this process.
 
-Successful records are stored, so the next identical request is a
-layer-1 hit.  Progress streams to subscribers as events: lifecycle
-(``queued``/``started``/``done``) always, plus live per-stage ``span``
-events from :meth:`repro.obs.tracer.Tracer.subscribe` when the flow
-runs in-process.
+Successful records are stored and kept in memory, so the next
+identical request is a layer-1 hit that reads no file.  Progress
+streams to subscribers as events: lifecycle (``queued``/``started``/
+``done``) always, plus live per-stage ``span`` events from
+:meth:`repro.obs.tracer.Tracer.subscribe` when the flow runs
+in-process.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.obs.logcfg import get_logger
@@ -67,7 +72,12 @@ SERVE_COUNTERS = (
     "serve.deadline.expired",
     "serve.request.ok",
     "serve.request.error",
+    "serve.store.read",
 )
+
+#: Stored records a service keeps in memory (least recently used out
+#: first): about 3.6 KB per parsed record, so about 3.7 MB when full.
+HOT_RECORDS = 1024
 
 #: Span depth forwarded to streaming clients (flow / level / stage);
 #: anything deeper is per-cluster noise at service granularity.
@@ -134,6 +144,9 @@ class CTSService:
         self.policy = policy if policy is not None else FabricPolicy()
         self.chaos = chaos
         self.health = RunHealth()
+        # key -> stored record, least recently used first; read and
+        # written on the event-loop thread only (see stored_record)
+        self._hot: OrderedDict[str, dict] = OrderedDict()
         self._inflight: dict[str, _Flight] = {}
         self._dispatchers: list[asyncio.Task] = []
         self._pools: list[WorkPool] = []
@@ -207,9 +220,11 @@ class CTSService:
         :class:`~repro.serve.queue.AdmissionRejected` on a full queue
         and :class:`DeadlineExceeded` on budget expiry; any returned
         record may still carry ``status: "error"`` when the flow
-        itself degraded to a failure (the caller inspects it).
+        itself degraded to a failure (the caller inspects it).  A
+        returned record may be the one held in memory: read it, do not
+        change it.
         """
-        record = self.store.get(request.key)
+        record = self.stored_record(request.key)
         if record is not None:
             METRICS.inc("serve.cache.hit")
             if on_event is not None:
@@ -253,6 +268,30 @@ class CTSService:
     def _deadline_of(self, request: ServeRequest) -> float:
         return request.deadline_s or self.default_deadline_s
 
+    def stored_record(self, key: str) -> dict | None:
+        """The stored record under ``key``, or None; loop thread only.
+
+        Answered from memory when held there.  Otherwise the store is
+        read, and a record found there (``serve.store.read``) is held
+        from then on; past :data:`HOT_RECORDS` held records, the least
+        recently used one is dropped and would be read again.
+        """
+        record = self._hot.get(key)
+        if record is not None:
+            self._hot.move_to_end(key)
+            return record
+        record = self.store.get(key)
+        if record is not None:
+            METRICS.inc("serve.store.read")
+            self._hold(key, record)
+        return record
+
+    def _hold(self, key: str, record: dict) -> None:
+        self._hot[key] = record
+        self._hot.move_to_end(key)
+        if len(self._hot) > HOT_RECORDS:
+            self._hot.popitem(last=False)
+
     # ------------------------------------------------------------------
     # Prediction (model only — never touches the queue or the fabric)
     # ------------------------------------------------------------------
@@ -261,30 +300,38 @@ class CTSService:
 
         Pure read: one matrix multiply against the loaded model, with
         the request's design features memoised after the first call —
-        no queue slot, no flight, no flow execution.  Called from a
-        worker thread (``asyncio.to_thread``): the first hint for a
-        design generates its placement to summarise it, which is
-        milliseconds-to-tenths work that must not stall the loop.
+        no queue slot, no flight, no flow execution.  Safe on any
+        thread.  Until the design's features are memoised
+        (:func:`repro.predict.features.design_features_memoised`),
+        call it on a worker thread (``asyncio.to_thread``): the first
+        hint for a design generates its placement to summarise it,
+        which is milliseconds-to-tenths work that must not stall the
+        loop.
         """
         if self.predictor is None:
             return None
         point = request.point
         predicted = self.predictor.predict_point(
-            point.design, point.scale, point.canonical_config())
+            point.design, point.scale, request.config)
         METRICS.inc("predict.hint")
         return predicted
 
-    def predict_answer(self, request: ServeRequest) -> dict:
-        """The full ``/v1/predict`` payload (requires a predictor)."""
+    def predict_answer(self, request: ServeRequest, cached: bool) -> dict:
+        """The full ``/v1/predict`` payload (requires a predictor).
+
+        ``cached`` says whether the request's record is stored; the
+        caller looks it up on the loop (:meth:`stored_record`), since
+        this may run on a worker thread as :meth:`predict_hint` does.
+        """
         point = request.point
         predicted = self.predictor.predict_point(
-            point.design, point.scale, point.canonical_config())
+            point.design, point.scale, request.config)
         METRICS.inc("predict.request")
         return {
             "key": request.key,
             "design": point.design,
             "scale": point.scale,
-            "cached": self.store.get(request.key) is not None,
+            "cached": cached,
             "model": self.predictor.key(),
             "predicted": predicted,
         }
@@ -338,6 +385,7 @@ class CTSService:
                 continue
             if record["status"] == "ok":
                 self.store.put(request.key, record)
+                self._hold(request.key, record)
                 METRICS.inc("serve.request.ok")
             else:
                 METRICS.inc("serve.request.error")

@@ -30,11 +30,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cts.constraints import TABLE5
-from repro.cts.framework import FlowConfig, _CALLABLE_FIELDS, finite_float
+from repro.cts.framework import FLOW_KNOBS, FlowConfig, finite_float
 from repro.designs import design_names
 from repro.tech.buffer_library import library_names
 
@@ -59,15 +59,9 @@ DEFAULT_OBJECTIVES = (
 _ENGINE_KEYS = ("skew_bound", "library")
 
 
-def _flow_keys() -> tuple[str, ...]:
-    return tuple(
-        f.name for f in fields(FlowConfig) if f.name not in _CALLABLE_FIELDS
-    )
-
-
 def sweepable_keys() -> tuple[str, ...]:
     """Every knob a grid axis or explicit point may set."""
-    return _flow_keys() + _ENGINE_KEYS
+    return FLOW_KNOBS + _ENGINE_KEYS
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,20 +74,24 @@ class SweepPoint:
     overrides: tuple[tuple[str, object], ...]  # FlowConfig fields, sorted
     skew_bound: float          # per-net skew constraint, ps
     library: str               # named buffer library choice
+    # canonical FlowConfig dict (defaults plus the overrides), built once
+    # by resolve_point; derived from ``overrides``, so not compared
+    flow: dict = field(compare=False, repr=False)
 
     def flow_config(self) -> FlowConfig:
         """The point's FlowConfig (defaults plus the overrides)."""
         return FlowConfig.from_dict(dict(self.overrides))
 
     def canonical_config(self) -> dict:
-        """The full resolved knob dict the cache key hashes.
+        """The full resolved knob dict the cache key hashes (a new dict
+        on every call; no config is rebuilt).
 
         Defaults are materialised (not implied), so a change to a
         FlowConfig default changes the canonical form — and therefore
         the cache key — of every point that relied on it.
         """
         return {
-            "flow": self.flow_config().to_dict(),
+            "flow": dict(self.flow),
             "skew_bound": float(self.skew_bound),
             "library": self.library,
         }
@@ -132,8 +130,8 @@ def resolve_point(
         k: v for k, v in combo.items() if k not in _ENGINE_KEYS
     }
     # validates field names and normalises value types eagerly
-    canon = FlowConfig.from_dict(overrides).to_dict()
-    resolved = tuple(sorted((k, canon[k]) for k in overrides))
+    flow = FlowConfig.from_dict(overrides).to_dict()
+    resolved = tuple(sorted((k, flow[k]) for k in overrides))
     return SweepPoint(
         index=index,
         design=design,
@@ -141,6 +139,7 @@ def resolve_point(
         overrides=resolved,
         skew_bound=skew_bound,
         library=library,
+        flow=flow,
     )
 
 

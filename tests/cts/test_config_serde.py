@@ -78,3 +78,22 @@ def test_digest_stable_and_type_normalised():
 
 def test_digest_matches_equal_configs():
     assert FlowConfig(eps=0.3).digest() == FlowConfig(eps=0.3).digest()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", "0.3"),
+    ("topology", "nope"),
+    ("sa_iterations", 1.5),
+    ("use_sa", 1),
+])
+def test_direct_construction_checks_knob_types(field, value):
+    # the same check from_dict runs: a config built in code cannot
+    # carry a knob the flow would fail on or silently degrade with
+    with pytest.raises(ValueError, match=field):
+        FlowConfig(**{field: value})
+
+
+def test_direct_construction_normalises_integral_spellings():
+    assert FlowConfig(sa_iterations=200.0).digest() == FlowConfig().digest()
+    config = FlowConfig(eps=0, sa_iterations=200.0)
+    assert type(config.eps) is float and type(config.sa_iterations) is int

@@ -10,6 +10,7 @@ byte-identity contract against genuinely stored records.
 
 import asyncio
 import json
+import logging
 import os
 import re
 import select
@@ -586,6 +587,34 @@ def test_http_error_statuses(tmp_path, monkeypatch):
         got_status, raw = results[name]
         assert got_status == status, name
         assert json.loads(raw)["error"]["type"] == type_, name
+
+
+@pytest.mark.parametrize("size", [20_000, 70_000])
+def test_http_oversize_header_is_413(tmp_path, monkeypatch, caplog, size):
+    """Past the stream reader's own 64 KiB limit too: that overrun used
+    to escape as an unhandled error, logged with a traceback and
+    answered 500."""
+    # an earlier configure_logging() may have detached "repro" from the
+    # root logger, where caplog listens
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            server.host, server.port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                     + b"a" * size + b"\r\n\r\n")
+        await writer.drain()
+        data = await reader.read()
+        writer.close()
+        head, _, raw = data.partition(b"\r\n\r\n")
+        return int(head.split(b" ")[1]), raw
+
+    with caplog.at_level(logging.ERROR, logger="repro"):
+        status, raw = _serve(tmp_path, scenario, monkeypatch, FakeFlow())
+    assert status == 413
+    assert json.loads(raw)["error"]["type"] == "Payload Too Large"
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.ERROR] == []
 
 
 def test_http_execution_knobs_are_rejected(tmp_path, monkeypatch):
