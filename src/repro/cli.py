@@ -46,6 +46,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.baselines import commercial_like_cts, openroad_like_cts
@@ -268,6 +269,10 @@ def _nonneg_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"value must be finite, got {text!r}"
+        )
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"value must be >= 0, got {value}"

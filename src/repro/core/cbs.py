@@ -15,6 +15,13 @@ The five steps of Fig. 2:
 The output therefore combines SALT's shallowness/lightness with BST's skew
 guarantee: an SLLT whose skew never exceeds ``skew_bound`` while its
 latency and load are close to the shallow-light optimum.
+
+Steps 1–2 (:func:`cbs_skeleton`) read the net's sinks and source, the
+skew bound, the topology and the delay model's parameters, but neither
+``eps`` nor anything buffering reads.  Given a
+:class:`~repro.reuse.StageReuse`, :func:`cbs` keeps each skeleton it
+builds under exactly those inputs and serves it to every later call
+that repeats them, whatever its ``eps``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.dme.dme import bst_dme
-from repro.dme.models import DelayModel, LinearDelay
+from repro.dme.models import DelayModel, ElmoreDelay, LinearDelay
 from repro.dme.repair import repair_skew
 from repro.netlist.net import ClockNet
 from repro.netlist.topology import TopologyNode
@@ -32,6 +39,7 @@ from repro.netlist.tree_ops import (
     prune_redundant_steiner,
     sinks_to_leaves,
 )
+from repro.reuse import SKELETON, StageReuse, exact_key
 from repro.salt.refine import refine
 from repro.salt.salt import salt
 
@@ -48,6 +56,7 @@ def cbs(
     eps: float = DEFAULT_EPS,
     model: DelayModel | None = None,
     topology: str | TopologyNode | Callable = "greedy_dist",
+    reuse: StageReuse | None = None,
 ) -> RoutedTree:
     """Build an SLLT for ``net`` with skew controlled to ``skew_bound``.
 
@@ -55,7 +64,9 @@ def cbs(
     default linear model, ps for Elmore — see :mod:`repro.dme.dme`).
     ``eps`` is the Step 3 SALT relaxation strength; ``topology`` selects
     the Step 1 merging scheme (paper Table 2 sweeps GreedyDist /
-    GreedyMerge / BiPartition).
+    GreedyMerge / BiPartition).  With ``reuse``, a generator-named
+    ``topology`` and a delay model :func:`skeleton_key` knows, the Step
+    2 skeleton is looked up before it is built and kept after.
 
     Step 5 is BST-DME with the merging regions pinned at the Step 4
     tree's own embedding (:func:`~repro.dme.repair.repair_skew`):
@@ -65,7 +76,36 @@ def cbs(
     this reproduction would lose (see DESIGN.md).
     """
     model = model or LinearDelay()
+    key = skeleton_key(net, skew_bound, model, topology) \
+        if reuse is not None else None
+    skeleton = reuse.get(SKELETON, key) if key is not None else None
+    if skeleton is None:
+        skeleton = cbs_skeleton(net, skew_bound, model, topology)
+        if key is not None:
+            reuse.put(SKELETON, key, skeleton)
 
+    # Step 3: SALT relaxation (breaks skew legality on purpose); salt
+    # relaxes a copy, so a kept skeleton is never changed
+    relaxed = salt(net, eps, init=skeleton)
+
+    # Step 4: legalise — binary tree, load pins as leaves
+    sinks_to_leaves(relaxed)
+    binarize(relaxed)
+
+    # Step 5: restore the skew bound in place and clean up
+    repair_skew(relaxed, skew_bound, model=model)
+    prune_redundant_steiner(relaxed, preserve_length=True)
+    relaxed.validate()
+    return relaxed
+
+
+def cbs_skeleton(
+    net: ClockNet,
+    skew_bound: float,
+    model: DelayModel,
+    topology: str | TopologyNode | Callable,
+) -> RoutedTree:
+    """CBS Steps 1–2: the refined skeleton Step 3 relaxes."""
     # Step 1: initial bounded-skew tree
     initial = bst_dme(net, skew_bound, model=model, topology=topology)
 
@@ -78,16 +118,30 @@ def cbs(
             skeleton.node(nid).detour = 0.0
     prune_redundant_steiner(skeleton)
     refine(skeleton)
+    return skeleton
 
-    # Step 3: SALT relaxation (breaks skew legality on purpose)
-    relaxed = salt(net, eps, init=skeleton)
 
-    # Step 4: legalise — binary tree, load pins as leaves
-    sinks_to_leaves(relaxed)
-    binarize(relaxed)
+def skeleton_key(
+    net: ClockNet,
+    skew_bound: float,
+    model: DelayModel,
+    topology,
+) -> tuple | None:
+    """Everything :func:`cbs_skeleton` reads, as an exact key: the sinks
+    in order with all four fields, the source, the skew bound, the
+    topology's name and the delay model with its parameters.
 
-    # Step 5: restore the skew bound in place and clean up
-    repair_skew(relaxed, skew_bound, model=model)
-    prune_redundant_steiner(relaxed, preserve_length=True)
-    relaxed.validate()
-    return relaxed
+    None (build, keep nothing) for a topology given as a tree or a
+    callable, which has no exact key, and for a delay model other than
+    :class:`LinearDelay` and :class:`ElmoreDelay` (a subclass included),
+    whose delays may read more than the key holds.
+    """
+    kind = type(model)
+    if kind is LinearDelay:
+        params = ()
+    elif kind is ElmoreDelay:
+        params = (model.unit_res, model.unit_cap)
+    else:
+        return None
+    return exact_key(net.sinks, net.source.x, net.source.y, skew_bound,
+                     topology, kind.__name__, *params)

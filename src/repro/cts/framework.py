@@ -61,6 +61,7 @@ from repro.netlist.sink import Sink
 from repro.netlist.tree import RoutedTree
 from repro.parallel import WorkPool, resolve_jobs, worker_context
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
+from repro.reuse import PARTITION, StageReuse, exact_key
 from repro.partition.annealing import SAConfig, anneal_partition, total_cost
 from repro.partition.clustering import Cluster, cluster_cap
 from repro.partition.kmeans import balanced_kmeans
@@ -127,10 +128,12 @@ class FlowConfig:
     Every scalar knob is checked and normalised on construction, however
     the config is built: a bool, non-number or non-finite value for a
     float knob, a non-integral one for an int knob, a non-bool for a
-    bool knob and a ``topology`` that names no generator all raise
-    ``ValueError`` naming the field.  Integral spellings normalise
-    (``0`` is ``0.0`` for a float knob, ``200.0`` is ``200`` for an int
-    one), so equal knobs give equal configs and equal digests.
+    bool knob, a ``topology`` that names no generator and a negative
+    ``eps``, ``seed``, ``sa_iterations``, ``repair_budget`` or
+    ``source_slew`` all raise ``ValueError`` naming the field.  Integral
+    spellings normalise (``0`` is ``0.0`` for a float knob, ``200.0`` is
+    ``200`` for an int one), so equal knobs give equal configs and equal
+    digests.
     """
 
     topology: str = "greedy_dist"     # CBS Step 1 merge scheme
@@ -148,6 +151,10 @@ class FlowConfig:
     def __post_init__(self) -> None:
         for name, kind in _KNOB_FIELDS:
             setattr(self, name, _knob_value(name, kind, getattr(self, name)))
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name!r} must be >= 0, got {value!r}")
 
     # ------------------------------------------------------------------
     # Canonical serialisation (the sweep store's cache-key substrate)
@@ -207,6 +214,12 @@ _KNOB_FIELDS = tuple((f.name, f.type) for f in fields(FlowConfig)
 
 #: Names of the serialisable :class:`FlowConfig` knobs, in field order.
 FLOW_KNOBS = tuple(name for name, _ in _KNOB_FIELDS)
+
+#: Knobs below zero that would run (degraded or quietly different)
+#: instead of failing: SALT rejects a negative ``eps`` on every rung,
+#: numpy a negative seed, and a negative slew or budget means nothing.
+_NON_NEGATIVE = ("eps", "seed", "sa_iterations", "repair_budget",
+                 "source_slew")
 
 
 @dataclass(slots=True)
@@ -272,6 +285,11 @@ class HierarchicalCTS:
     N on every level.  ``policy`` budgets the pool's resilience ladder
     and ``fabric_chaos`` injects seeded faults into it.  None of the
     three can change results (docs/PARALLELISM.md).
+
+    ``reuse`` lets the run share level partitions and CBS skeletons with
+    the other runs that hold the same object (the points of one sweep,
+    docs/SWEEP.md): each is looked up before it is computed and kept
+    after.  It cannot change results either.
     """
 
     def __init__(
@@ -283,6 +301,7 @@ class HierarchicalCTS:
         jobs: int = 0,
         policy: FabricPolicy | None = None,
         fabric_chaos: FabricChaos | None = None,
+        reuse: StageReuse | None = None,
     ):
         self._tech = tech or Technology()
         self._lib = library or default_library()
@@ -291,6 +310,7 @@ class HierarchicalCTS:
         self._jobs = jobs
         self._policy = policy
         self._fabric_chaos = fabric_chaos
+        self._reuse = reuse
 
     # ------------------------------------------------------------------
     def run(
@@ -413,6 +433,7 @@ class HierarchicalCTS:
             topology=self._config.topology,
             primary=self._config.router,
             diagnostics=diagnostics,
+            reuse=self._reuse,
         )
 
     def _run_level(
@@ -515,6 +536,46 @@ class HierarchicalCTS:
     # Stage 1: partition
     # ------------------------------------------------------------------
     def _partition(
+        self, sinks: list[Sink], level: int, diag: FlowDiagnostics,
+        pool: WorkPool | None = None,
+    ) -> tuple[list[Cluster], float, float]:
+        """The level's clusters with SA's cost before and after, served
+        from the run's reuse object where it holds them.
+
+        Only a partition whose computation recorded no flowguard event
+        is kept, so a degraded partition computes, and records its
+        events, every time.
+        """
+        key = self._partition_key(sinks, level) \
+            if self._reuse is not None else None
+        kept = self._reuse.get(PARTITION, key) if key is not None else None
+        if kept is not None:
+            groups, before, after = kept
+            return ([Cluster([sinks[i] for i in members], center)
+                     for members, center in groups], before, after)
+        mark = len(diag.events)
+        clusters, before, after = self._partition_guarded(
+            sinks, level, diag, pool)
+        if key is not None and len(diag.events) == mark:
+            position = {id(sink): i for i, sink in enumerate(sinks)}
+            groups = tuple(
+                (tuple(position[id(sink)] for sink in cluster.sinks),
+                 cluster.center)
+                for cluster in clusters)
+            self._reuse.put(PARTITION, key, (groups, before, after))
+        return clusters, before, after
+
+    def _partition_key(self, sinks: list[Sink], level: int) -> tuple | None:
+        """Everything the partition reads, as an exact key."""
+        cfg = self._config
+        cons = self._constraints
+        return exact_key(
+            sinks, cfg.seed + level, cfg.use_sa, cfg.sa_iterations,
+            cons.max_fanout, cons.max_cap, cons.max_length,
+            self._tech.unit_cap,
+        )
+
+    def _partition_guarded(
         self, sinks: list[Sink], level: int, diag: FlowDiagnostics,
         pool: WorkPool | None = None,
     ) -> tuple[list[Cluster], float, float]:

@@ -80,6 +80,7 @@ class ElmoreDelay(DelayModel):
     def __init__(self, tech: Technology):
         self._tech = tech
         self._k = tech.unit_res * RC_TO_PS
+        self.unit_res = tech.unit_res
         self.unit_cap = tech.unit_cap
 
     def wire_delay(self, length: float, downstream_cap: float) -> float:

@@ -36,6 +36,7 @@ from repro.netlist.sink import Sink
 from repro.netlist.tree import RoutedTree
 from repro.netlist.tree_ops import binarize, sinks_to_leaves
 from repro.partition.clustering import Cluster
+from repro.reuse import StageReuse
 from repro.salt.salt import salt
 
 #: Parameter backoff steps: (skew-bound multiplier, eps multiplier).
@@ -54,7 +55,11 @@ def star_topology(net: ClockNet) -> RoutedTree:
 
 
 class RouterFallbackChain:
-    """Per-net routing with parameter backoff and topology degradation."""
+    """Per-net routing with parameter backoff and topology degradation.
+
+    ``reuse``, when given, reaches every CBS rung (see
+    :func:`~repro.core.cbs.cbs`).
+    """
 
     def __init__(
         self,
@@ -65,6 +70,7 @@ class RouterFallbackChain:
         primary: Callable | None = None,
         diagnostics: FlowDiagnostics | None = None,
         backoff: Sequence[tuple[float, float]] = BACKOFF_SCHEDULE,
+        reuse: StageReuse | None = None,
     ):
         if skew_bound < 0:
             raise ValueError(f"negative skew bound {skew_bound}")
@@ -73,6 +79,7 @@ class RouterFallbackChain:
         self._topology = topology
         self._primary = primary
         self._backoff = tuple(backoff)
+        self._reuse = reuse
         self.diagnostics = diagnostics if diagnostics is not None \
             else FlowDiagnostics()
 
@@ -117,7 +124,7 @@ class RouterFallbackChain:
 
         def _cbs(b: float, e: float) -> Callable[[], RoutedTree]:
             return lambda: cbs(net, b, eps=e, model=model,
-                               topology=self._topology)
+                               topology=self._topology, reuse=self._reuse)
 
         if self._primary is not None:
             primary = self._primary

@@ -102,8 +102,9 @@ _PARENT_POLL_S = 0.5
 
 
 def worker_context():
-    """The ``context`` of the pool whose worker is running this task."""
-    return _WORKER["context"]
+    """The ``context`` of the pool whose worker is running this task
+    (None outside a pool worker)."""
+    return _WORKER.get("context")
 
 
 def _boot_worker(trace: bool, context) -> None:

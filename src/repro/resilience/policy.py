@@ -12,6 +12,7 @@ decides when a task re-runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -42,9 +43,11 @@ class FabricPolicy:
     shutdown_grace: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.task_timeout < 0:
+        # an infinite wait overflows the platform's timeout type, and a
+        # NaN one would silently disarm the deadline
+        if not (math.isfinite(self.task_timeout) and self.task_timeout >= 0):
             raise ValueError(
-                f"task_timeout must be >= 0 (0 disables), "
+                f"task_timeout must be finite and >= 0 (0 disables), "
                 f"got {self.task_timeout}"
             )
         if self.task_retries < 0:
@@ -59,7 +62,9 @@ class FabricPolicy:
             raise ValueError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
-        if self.shutdown_grace < 0:
+        if not (math.isfinite(self.shutdown_grace)
+                and self.shutdown_grace >= 0):
             raise ValueError(
-                f"shutdown_grace must be >= 0, got {self.shutdown_grace}"
+                f"shutdown_grace must be finite and >= 0, "
+                f"got {self.shutdown_grace}"
             )

@@ -26,6 +26,7 @@ cache key and the model's hint read the same dict.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.designs import design_fingerprint, design_names
@@ -42,7 +43,10 @@ REQUEST_FIELDS = (
     "design", "scale", "config", "priority", "deadline_s", "stream",
 )
 
+_FIELDS = frozenset(REQUEST_FIELDS)
 _SWEEPABLE = frozenset(sweepable_keys())
+#: The catalog, read once: a request checks its design against this set.
+_DESIGNS = frozenset(design_names())
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,54 +66,69 @@ class ServeRequest:
         return f"serve {self.key[:12]}"
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise RequestError(message)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(number) -> bool:
+    """Whether a number converts to a finite float (an int beyond the
+    float range does not)."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def parse_request(data) -> ServeRequest:
-    """Validate one request payload; :class:`RequestError` on any flaw."""
-    _require(isinstance(data, dict),
-             f"request must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(REQUEST_FIELDS))
-    _require(not unknown,
-             f"unknown request field(s) {unknown}; "
-             f"known: {sorted(REQUEST_FIELDS)}")
+    """Validate one request payload; :class:`RequestError` on any flaw.
+
+    Each error message is built only when its check fails, so a valid
+    request formats none of them.
+    """
+    if not isinstance(data, dict):
+        raise RequestError(
+            f"request must be a JSON object, got {type(data).__name__}")
+    if not _FIELDS.issuperset(data):
+        raise RequestError(
+            f"unknown request field(s) {sorted(set(data) - _FIELDS)}; "
+            f"known: {sorted(REQUEST_FIELDS)}")
 
     design = data.get("design")
-    _require(isinstance(design, str) and design,
-             "request needs a 'design' (string)")
-    known_designs = set(design_names())
-    _require(design in known_designs,
-             f"unknown design {design!r}; catalog has "
-             f"{sorted(known_designs)}")
+    if not (isinstance(design, str) and design):
+        raise RequestError("request needs a 'design' (string)")
+    if design not in _DESIGNS:
+        raise RequestError(
+            f"unknown design {design!r}; catalog has {sorted(_DESIGNS)}")
 
     scale = data.get("scale", 1.0)
-    _require(isinstance(scale, (int, float))
-             and not isinstance(scale, bool),
-             f"'scale' must be a number, got {scale!r}")
-    _require(0 < scale <= 1, f"'scale' must be in (0, 1], got {scale}")
+    if not _is_number(scale):
+        raise RequestError(f"'scale' must be a number, got {scale!r}")
+    if not 0 < scale <= 1:
+        raise RequestError(f"'scale' must be in (0, 1], got {scale}")
 
     config = data.get("config", {})
-    _require(isinstance(config, dict),
-             f"'config' must be an object of knobs, got "
-             f"{type(config).__name__}")
-    bad = sorted(set(config) - _SWEEPABLE)
-    _require(not bad,
-             f"unknown knob(s) {bad}; sweepable: {sorted(_SWEEPABLE)}")
+    if not isinstance(config, dict):
+        raise RequestError(
+            f"'config' must be an object of knobs, got "
+            f"{type(config).__name__}")
+    if not _SWEEPABLE.issuperset(config):
+        raise RequestError(
+            f"unknown knob(s) {sorted(set(config) - _SWEEPABLE)}; "
+            f"sweepable: {sorted(_SWEEPABLE)}")
 
     priority = data.get("priority", 0)
-    _require(isinstance(priority, int) and not isinstance(priority, bool),
-             f"'priority' must be an integer, got {priority!r}")
+    if not (isinstance(priority, int) and not isinstance(priority, bool)):
+        raise RequestError(
+            f"'priority' must be an integer, got {priority!r}")
 
     deadline = data.get("deadline_s", 0.0)
-    _require(isinstance(deadline, (int, float))
-             and not isinstance(deadline, bool) and deadline >= 0,
-             f"'deadline_s' must be a number >= 0, got {deadline!r}")
+    if not (_is_number(deadline) and _finite(deadline) and deadline >= 0):
+        raise RequestError(
+            f"'deadline_s' must be a finite number >= 0, got {deadline!r}")
 
     stream = data.get("stream", False)
-    _require(isinstance(stream, bool),
-             f"'stream' must be a boolean, got {stream!r}")
+    if not isinstance(stream, bool):
+        raise RequestError(f"'stream' must be a boolean, got {stream!r}")
 
     try:
         point = resolve_point(0, design, float(scale), dict(config))

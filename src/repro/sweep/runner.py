@@ -12,6 +12,13 @@ crosses the process boundary).  Each point's flow gets its share of the
 CPUs under a pooled sweep (usable CPUs // sweep workers, at least 1)
 and auto jobs under a serial one.
 
+Points share what their knobs never reach: each ``run_sweep`` call
+makes one :class:`~repro.reuse.StageReuse`, which every point it runs
+in the parent uses, and which a pooled sweep installs as its pool's
+``context``, so each worker keeps its own for the sweep's life.  A
+point then pays only for the stages its own knobs change; records are
+the same bytes either way (docs/SWEEP.md, "Reuse across points").
+
 Degradation mirrors the flow itself: *inside* a point the hierarchical
 engine already absorbs faults through flowguard; a point that still
 raises — a broken config, an injected fault, a dead worker — lands as a
@@ -52,8 +59,9 @@ from repro.obs.clock import now
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.parallel import WorkPool, resolve_jobs
+from repro.parallel import WorkPool, resolve_jobs, worker_context
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
+from repro.reuse import StageReuse
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.store import RESULT_SCHEMA_VERSION, SweepStore, record_key
 from repro.tech import Technology
@@ -121,9 +129,10 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Point execution (both the parent's serial path and the workers)
 # ----------------------------------------------------------------------
-def _execute_point(point: SweepPoint, jobs: int) -> tuple[dict, dict]:
-    """Run the flow at one point on ``jobs`` workers; returns
-    (quality, flow_events).
+def _execute_point(point: SweepPoint, jobs: int,
+                   reuse: StageReuse | None) -> tuple[dict, dict]:
+    """Run the flow at one point on ``jobs`` workers, sharing stages
+    through ``reuse``; returns (quality, flow_events).
 
     The design regenerates deterministically from the catalog, so a
     worker needs nothing but the point itself.
@@ -143,6 +152,7 @@ def _execute_point(point: SweepPoint, jobs: int) -> tuple[dict, dict]:
         constraints=constraints,
         config=point.flow_config(),
         jobs=jobs,
+        reuse=reuse,
     )
     result = engine.run(design.sinks, design.source)
     report = evaluate_result(result, tech)
@@ -174,8 +184,10 @@ def _base_record(task: PointTask) -> dict:
     }
 
 
-def compute_record(task: PointTask) -> PointOutcome:
-    """Execute ``task`` and build its canonical record.
+def compute_record(task: PointTask,
+                   reuse: StageReuse | None = None) -> PointOutcome:
+    """Execute ``task`` and build its canonical record, sharing flow
+    stages through ``reuse`` when given (it cannot change the record).
 
     Never raises: any exception (including an injected fault) becomes a
     ``status: "error"`` record — one failing config must not kill the
@@ -193,7 +205,7 @@ def compute_record(task: PointTask) -> PointOutcome:
                 raise FaultInjected(
                     f"injected sweep fault at point {point.index}"
                 )
-            quality, events = _execute_point(point, task.flow_jobs)
+            quality, events = _execute_point(point, task.flow_jobs, reuse)
             record.update(status="ok", error=None, quality=quality,
                           flow_events=events)
         except Exception as exc:  # noqa: BLE001 — degrade, don't abort
@@ -208,6 +220,12 @@ def compute_record(task: PointTask) -> PointOutcome:
     return PointOutcome(
         index=point.index, record=record, runtime_s=now() - t0
     )
+
+
+def _compute_in_worker(task: PointTask) -> PointOutcome:
+    """Execute one point in a sweep worker, against the worker's reuse
+    object (the pool's context)."""
+    return compute_record(task, worker_context())
 
 
 # ----------------------------------------------------------------------
@@ -285,20 +303,23 @@ def run_sweep(
                   len(tasks))
 
         health = RunHealth()
+        reuse = StageReuse()
         if jobs != 1 and len(tasks) > 1:
-            with WorkPool(jobs, policy=policy, chaos=chaos,
+            with WorkPool(jobs, context=reuse, policy=policy, chaos=chaos,
                           health=health) as pool:
                 # each point's flow gets its share of the CPUs, so
                 # sweep workers x flow workers stays within budget
                 share = max(1, resolve_jobs(0) // pool.jobs)
                 tasks = [replace(task, flow_jobs=share) for task in tasks]
                 outcomes = pool.map(
-                    compute_record, tasks,
+                    _compute_in_worker, tasks,
                     describe=lambda t: t.point.label(),
+                    fallback=lambda t, _code, _detail:
+                        compute_record(t, reuse),
                 )
         else:
             # lazily, so each point is stored as soon as it finishes
-            outcomes = (compute_record(task) for task in tasks)
+            outcomes = (compute_record(task, reuse) for task in tasks)
 
         failed = 0
         record_by_key: dict[str, dict] = {}

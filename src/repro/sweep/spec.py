@@ -120,6 +120,8 @@ def resolve_point(
     """
     skew_bound = finite_float("skew_bound",
                               combo.get("skew_bound", TABLE5.skew_bound))
+    if skew_bound < 0:
+        raise ValueError(f"'skew_bound' must be >= 0, got {skew_bound!r}")
     library = combo.get("library", "default")
     if library not in library_names():
         raise ValueError(

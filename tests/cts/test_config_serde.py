@@ -97,3 +97,20 @@ def test_direct_construction_normalises_integral_spellings():
     assert FlowConfig(sa_iterations=200.0).digest() == FlowConfig().digest()
     config = FlowConfig(eps=0, sa_iterations=200.0)
     assert type(config.eps) is float and type(config.sa_iterations) is int
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", -1.0), ("seed", -1), ("sa_iterations", -1),
+    ("repair_budget", -1), ("source_slew", -10.0),
+])
+def test_negative_knobs_are_rejected(field, value):
+    """They used to run: eps -1 through 6 retries and 3 downgrades to
+    an ``ok`` record, source_slew -10 to a different latency."""
+    with pytest.raises(ValueError, match=f"'{field}' must be >= 0"):
+        FlowConfig(**{field: value})
+
+
+def test_zero_knobs_stay_valid():
+    config = FlowConfig(eps=0, seed=0, sa_iterations=0, repair_budget=0,
+                        source_slew=0)
+    assert config.eps == 0.0 and config.source_slew == 0.0

@@ -23,3 +23,17 @@ def test_defaults_are_valid_and_deadline_free():
 def test_invalid_budgets_rejected(kwargs):
     with pytest.raises(ValueError):
         FabricPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"task_timeout": float("inf")},
+    {"task_timeout": float("nan")},
+    {"shutdown_grace": float("inf")},
+    {"shutdown_grace": float("nan")},
+])
+def test_non_finite_budgets_rejected(kwargs):
+    """An infinite deadline used to overflow the pool's wait (an
+    OverflowError out of ``HierarchicalCTS.run``) and a NaN one to
+    disarm it silently."""
+    with pytest.raises(ValueError, match="finite"):
+        FabricPolicy(**kwargs)

@@ -130,3 +130,44 @@ def test_parse_bytes_round_trip_and_garbage():
         parse_request_bytes(b"{not json")
     with pytest.raises(RequestError, match="not valid JSON"):
         parse_request_bytes(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("deadline", [float("inf"), float("nan"), 10**400])
+def test_non_finite_deadline_is_a_typed_rejection(deadline):
+    """An infinite deadline used to pass validation and crash the
+    served miss (a 500); an int beyond the float range likewise."""
+    with pytest.raises(RequestError,
+                       match="'deadline_s' must be a finite number >= 0"):
+        parse_request({"design": DESIGN, "deadline_s": deadline})
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"eps": -1}, "eps"),
+    ({"seed": -1}, "seed"),
+    ({"sa_iterations": -1}, "sa_iterations"),
+    ({"repair_budget": -1}, "repair_budget"),
+    ({"source_slew": -10}, "source_slew"),
+    ({"skew_bound": -5}, "skew_bound"),
+])
+def test_out_of_range_knobs_are_typed_rejections(config, field):
+    """Negative knobs used to run: eps -1 stored an ``ok`` record built
+    by the fallback ladder, seed -1 a forced median split."""
+    with pytest.raises(RequestError, match=f"'{field}' must be >= 0"):
+        parse_request({"design": DESIGN, "config": config})
+
+
+def test_a_valid_request_reads_no_catalog(monkeypatch):
+    """Membership is checked against the set built at import, and no
+    error message is formatted for a check that passes."""
+    import repro.serve.schema as schema
+
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return []
+
+    monkeypatch.setattr(schema, "design_names", counted)
+    parse_request({"design": DESIGN, "scale": 0.05,
+                   "config": {"eps": 0.3, "seed": 1}})
+    assert calls == []

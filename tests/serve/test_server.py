@@ -634,6 +634,25 @@ def test_http_execution_knobs_are_rejected(tmp_path, monkeypatch):
     assert flow.calls == 0
 
 
+def test_http_infinite_deadline_is_400_and_runs_nothing(tmp_path,
+                                                        monkeypatch):
+    """Python's json reads ``Infinity``; such a deadline used to be
+    accepted, run its flow and answer 500 with a logged traceback."""
+    flow = FakeFlow()
+
+    async def scenario(server):
+        body = (b'{"design": "s38584", "scale": 0.02, '
+                b'"deadline_s": Infinity}')
+        return await _post(server.host, server.port, {}, raw_body=body)
+
+    status, raw = _serve(tmp_path, scenario, monkeypatch, flow)
+    assert status == 400
+    error = json.loads(raw)["error"]
+    assert error["type"] == "RequestError"
+    assert "deadline_s" in error["detail"]
+    assert flow.calls == 0
+
+
 def test_http_healthz_and_metrics(tmp_path, monkeypatch):
     flow = FakeFlow()
 

@@ -280,9 +280,9 @@ def _spy_flow_jobs(monkeypatch):
     seen = []
     real = repro.sweep.runner.compute_record
 
-    def spy(task):
+    def spy(task, reuse=None):
         seen.append(task.flow_jobs)
-        return real(task)
+        return real(task, reuse)
 
     monkeypatch.setattr(repro.sweep.runner, "compute_record", spy)
     monkeypatch.setattr(repro.parallel.WorkPool, "map",

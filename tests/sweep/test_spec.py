@@ -141,3 +141,18 @@ def test_point_canonical_config_materialises_defaults():
     assert "sa_iterations" in config["flow"]
     assert config["library"] == "default"
     assert isinstance(config["skew_bound"], float)
+
+
+@pytest.mark.parametrize("axis, value", [
+    ("eps", -1.0), ("seed", -1), ("source_slew", -10.0),
+    ("skew_bound", -5.0),
+])
+def test_out_of_range_knob_fails_before_any_point_runs(tmp_path, axis,
+                                                       value):
+    """A negative knob used to run (or, for the skew bound, land as an
+    error record) instead of failing the spec."""
+    spec = spec_from_dict({"designs": ["s38584"], "scales": [0.05],
+                           "grid": {axis: [1, value]}})
+    with pytest.raises(ValueError, match=f"'{axis}' must be >= 0"):
+        run_sweep(spec, SweepStore(tmp_path))
+    assert not any(tmp_path.rglob("*.json*"))

@@ -359,3 +359,21 @@ def test_pareto_bad_axis_exits_2(specfile, tmp_path, capsys):
     assert main(["pareto", str(store), "--svg", str(tmp_path / "o.svg"),
                  "--x", "bogus"]) == 2
     assert "not a sweep objective" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--design", "s38584", "--scale", "0.02", "--jobs", "2",
+     "--task-timeout", "inf"],
+    ["flow", "--design", "s38584", "--scale", "0.02",
+     "--task-timeout", "nan"],
+    ["sweep", "spec.json", "--task-timeout", "inf"],
+    ["fit", "records.jsonl", "--l2", "nan"],
+])
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    """``--task-timeout inf`` used to crash a pooled flow with an
+    OverflowError traceback, and ``nan`` to disarm the deadline."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "must be finite" in err
