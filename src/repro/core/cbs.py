@@ -18,10 +18,13 @@ latency and load are close to the shallow-light optimum.
 
 Steps 1–2 (:func:`cbs_skeleton`) read the net's sinks and source, the
 skew bound, the topology and the delay model's parameters, but neither
-``eps`` nor anything buffering reads.  Given a
-:class:`~repro.reuse.StageReuse`, :func:`cbs` keeps each skeleton it
-builds under exactly those inputs and serves it to every later call
-that repeats them, whatever its ``eps``.
+``eps`` nor anything buffering reads.  Steps 3–5 read the skeleton, the
+net, ``eps``, the skew bound and the delay model, and still nothing
+buffering reads.  Given a :class:`~repro.reuse.StageReuse`, :func:`cbs`
+keeps each skeleton it builds under exactly its inputs and serves it to
+every later call that repeats them, whatever its ``eps``; and it keeps
+each finished tree under the same inputs plus ``eps``, and serves a
+copy of it to every later call that repeats all of them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.netlist.tree_ops import (
     prune_redundant_steiner,
     sinks_to_leaves,
 )
-from repro.reuse import SKELETON, StageReuse, exact_key
+from repro.reuse import ROUTED, SKELETON, StageReuse, exact_key, extend_key
 from repro.salt.refine import refine
 from repro.salt.salt import salt
 
@@ -65,8 +68,10 @@ def cbs(
     ``eps`` is the Step 3 SALT relaxation strength; ``topology`` selects
     the Step 1 merging scheme (paper Table 2 sweeps GreedyDist /
     GreedyMerge / BiPartition).  With ``reuse``, a generator-named
-    ``topology`` and a delay model :func:`skeleton_key` knows, the Step
-    2 skeleton is looked up before it is built and kept after.
+    ``topology`` and a delay model :func:`skeleton_key` knows, the
+    finished tree is looked up first (a hit returns a copy, since the
+    caller buffers and repairs what it gets), then the Step 2 skeleton;
+    each is kept once built.  A call that raises keeps no tree.
 
     Step 5 is BST-DME with the merging regions pinned at the Step 4
     tree's own embedding (:func:`~repro.dme.repair.repair_skew`):
@@ -78,6 +83,11 @@ def cbs(
     model = model or LinearDelay()
     key = skeleton_key(net, skew_bound, model, topology) \
         if reuse is not None else None
+    routed_key = extend_key(key, eps)
+    if routed_key is not None:
+        routed = reuse.get(ROUTED, routed_key)
+        if routed is not None:
+            return routed.copy()
     skeleton = reuse.get(SKELETON, key) if key is not None else None
     if skeleton is None:
         skeleton = cbs_skeleton(net, skew_bound, model, topology)
@@ -96,6 +106,8 @@ def cbs(
     repair_skew(relaxed, skew_bound, model=model)
     prune_redundant_steiner(relaxed, preserve_length=True)
     relaxed.validate()
+    if routed_key is not None:
+        reuse.put(ROUTED, routed_key, relaxed.copy())
     return relaxed
 
 

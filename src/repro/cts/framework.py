@@ -64,7 +64,7 @@ from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.reuse import PARTITION, StageReuse, exact_key
 from repro.partition.annealing import SAConfig, anneal_partition, total_cost
 from repro.partition.clustering import Cluster, cluster_cap
-from repro.partition.kmeans import balanced_kmeans
+from repro.partition.kmeans import _BLOCK, balanced_kmeans
 from repro.tech.buffer_library import BufferLibrary, default_library
 from repro.tech.technology import Technology
 from repro.timing.elmore import TimingReport
@@ -279,14 +279,16 @@ class HierarchicalCTS:
     """The paper's hierarchical CTS engine.
 
     ``jobs`` sets the worker processes for per-cluster routing (and a
-    large level's spatial-block k-means): 0 or
-    negative is auto (one per usable CPU; each level uses the pool only
-    where the process hop pays), 1 the serial loop, and N > 1 a pool of
-    N on every level.  ``policy`` budgets the pool's resilience ladder
-    and ``fabric_chaos`` injects seeded faults into it.  None of the
-    three can change results (docs/PARALLELISM.md).
+    large level's spatial-block k-means): 0 or negative is auto (one per
+    usable CPU for an input of more than one spatial block, and each
+    level uses the pool only where the process hop pays), 1 the serial
+    loop, and N > 1 a pool of N on every level.  ``policy`` budgets the
+    pool's resilience ladder and ``fabric_chaos`` injects seeded faults
+    into it.  None of the three can change results
+    (docs/PARALLELISM.md).
 
-    ``reuse`` lets the run share level partitions and CBS skeletons with
+    ``reuse`` lets the run share level partitions, and the CBS skeletons
+    and routed trees of the nets whose sinks are the design's own, with
     the other runs that hold the same object (the points of one sweep,
     docs/SWEEP.md): each is looked up before it is computed and kept
     after.  It cannot change results either.
@@ -337,7 +339,7 @@ class HierarchicalCTS:
         levels: list[LevelStats] = []
         subtrees: dict[str, RoutedTree] = {}  # driver sink name -> its net tree
         level = 0
-        workers = self._workers()
+        workers = self._workers(len(sinks))
         pool = WorkPool(
             workers, context=self, policy=self._policy,
             chaos=self._fabric_chaos,
@@ -390,7 +392,8 @@ class HierarchicalCTS:
         mark = len(diag.events)
         with TRACER.span("level", level=-1, sinks=len(current)):
             top_tree, top_buffers = self._route_top(
-                current, source, self.build_chain(diag), diag
+                current, source,
+                self.build_chain(diag, design_sinks=not levels), diag
             )
         METRICS.inc("cts.top_buffers", top_buffers)
         full = self._assemble(top_tree, subtrees, sinks, diag)
@@ -405,27 +408,35 @@ class HierarchicalCTS:
             source_slew=self._config.source_slew,
         )
 
-    def _workers(self) -> int:
-        """Worker processes for this run's cluster pool (1 = no pool).
+    def _workers(self, sinks: int) -> int:
+        """Worker processes for a run over ``sinks`` sinks (1 = no pool).
 
         An explicit ``jobs`` is taken verbatim.  Auto (``jobs < 1``)
-        means one per usable CPU, except while the config holds a user
-        router: forked copies of a stateful one (a fault injector, a
-        call counter) would diverge from the serial run, so auto stays
-        serial.
+        means one per usable CPU, except for an input of at most one
+        spatial block (``_BLOCK`` sinks), whose level 0 k-means in the
+        parent and whose nets route faster than a forked pool starts,
+        and while the config holds a user router: forked copies of a
+        stateful one (a fault injector, a call counter) would diverge
+        from the serial run.
         """
-        if self._jobs < 1 and any(
+        if self._jobs < 1 and (sinks <= _BLOCK or any(
                 getattr(self._config, name) is not None
-                for name in _CALLABLE_FIELDS):
+                for name in _CALLABLE_FIELDS)):
             return 1
         return resolve_jobs(self._jobs)
 
-    def build_chain(self, diagnostics: FlowDiagnostics) -> RouterFallbackChain:
+    def build_chain(self, diagnostics: FlowDiagnostics,
+                    design_sinks: bool) -> RouterFallbackChain:
         """The run's configured fallback chain, bound to ``diagnostics``.
 
         Every cluster net routes through a chain built here around its
         own diagnostics (see :meth:`_route_task`), so a cluster routes
         through exactly the same ladder in a worker or in the parent.
+        Only a net whose sinks are the design's own (``design_sinks``: a
+        level-0 net, or the top net of a run that built no level) routes
+        through the run's reuse object; a driver net's sinks carry caps
+        and subtree delays that follow ``eps`` and the library, so its
+        trees would be kept for nothing.
         """
         return RouterFallbackChain(
             self._constraints.skew_bound,
@@ -433,7 +444,7 @@ class HierarchicalCTS:
             topology=self._config.topology,
             primary=self._config.router,
             diagnostics=diagnostics,
-            reuse=self._reuse,
+            reuse=self._reuse if design_sinks else None,
         )
 
     def _run_level(
@@ -505,7 +516,7 @@ class HierarchicalCTS:
         """Route one cluster net against task-local diagnostics: the
         same code whether a pool worker or the parent runs it."""
         diag = diag if diag is not None else FlowDiagnostics()
-        chain = self.build_chain(diag)
+        chain = self.build_chain(diag, design_sinks=task.level == 0)
         cluster = Cluster(list(task.sinks), task.center)
         with TRACER.span("cluster", net=task.name, sinks=cluster.size):
             driver, tree, nbuf, routed_cap = self._route_cluster(

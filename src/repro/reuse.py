@@ -2,11 +2,12 @@
 
 Points of a sweep that differ only in knobs a stage never reads compute
 that stage's result again and again: a level's partition reads none of
-``eps``, the buffer library, the skew bound or the topology, and CBS
-Steps 1–2 (BST-DME, then the refined skeleton) read neither ``eps`` nor
-the library.  A :class:`StageReuse` remembers both results, keyed by
-everything the stage reads, so a point pays only for what its own knobs
-change (docs/SWEEP.md, "Reuse across points").
+``eps``, the buffer library, the skew bound or the topology, CBS Steps
+1–2 (BST-DME, then the refined skeleton) read neither ``eps`` nor the
+library, and Steps 3–5 add ``eps`` but still not the library.  A
+:class:`StageReuse` remembers all three results, keyed by everything
+the stage reads, so a point pays only for what its own knobs change
+(docs/SWEEP.md, "Reuse across points").
 
 Keys are exact.  A float enters by its bit pattern, never by ``==``:
 ``Point(-0.0, 0.0) == Point(0.0, 0.0)``, but the kernels' tie rules read
@@ -16,7 +17,8 @@ form (an int coordinate, a non-string sink name) gives no key, and the
 stage computes as it would without reuse.
 
 This module imports nothing from the flow: the partition and CBS code
-build their keys with :func:`exact_key` and read and fill the maps
+build their keys with :func:`exact_key` (and :func:`extend_key`) and
+read and fill the maps
 through :meth:`StageReuse.get` and :meth:`StageReuse.put`.
 """
 
@@ -28,9 +30,10 @@ from collections import OrderedDict
 
 from repro.obs.metrics import METRICS
 
-#: The two kinds of kept result.
+#: The three kinds of kept result.
 PARTITION = "partition"
 SKELETON = "skeleton"
+ROUTED = "routed"
 
 #: Level partitions kept per process, least recently used evicted
 #: first.  A kept partition costs about 120 bytes per sink of its level
@@ -41,13 +44,20 @@ SKELETON = "skeleton"
 PARTITION_ENTRIES = 16
 
 #: CBS skeletons kept per process, least recently used evicted first.
-#: A kept skeleton of a 32-sink net costs about 21 KB with its sinks
-#: (13 KB on average over ``sweep_cold``'s nets), so a full map holds at
-#: most about 11 MB.
+#: A kept skeleton of a 32-sink net costs about 32 KB with its key and
+#: sinks (29 KB on average over ``sweep_cold``'s level-0 nets), so a
+#: full map holds at most about 16 MB.
 SKELETON_ENTRIES = 512
 
-_HIT = {kind: f"cts.reuse.{kind}_hit" for kind in (PARTITION, SKELETON)}
-_MISS = {kind: f"cts.reuse.{kind}_miss" for kind in (PARTITION, SKELETON)}
+#: Routed CBS nets (Steps 1–5) kept per process, least recently used
+#: evicted first.  A kept 32-sink net costs about 31 KB with its key and
+#: sinks (28 KB on average over ``sweep_cold``'s level-0 nets), so a
+#: full map holds at most about 16 MB.
+ROUTED_ENTRIES = 512
+
+_KINDS = (PARTITION, SKELETON, ROUTED)
+_HIT = {kind: f"cts.reuse.{kind}_hit" for kind in _KINDS}
+_MISS = {kind: f"cts.reuse.{kind}_miss" for kind in _KINDS}
 
 #: Key parts kept by value, tagged with their type so ``True`` is not 1.
 _PLAIN = (int, bool, str)
@@ -84,9 +94,20 @@ def exact_key(sinks, *scalars) -> tuple | None:
     return names, struct.pack(f"<{len(values)}d", *values), parts
 
 
+def extend_key(key: tuple | None, *scalars) -> tuple | None:
+    """``key`` with ``scalars`` appended as exact parts; None where
+    ``key`` is None or one of them has no exact form."""
+    if key is None:
+        return None
+    try:
+        return key + tuple(map(_exact, scalars))
+    except TypeError:
+        return None
+
+
 class StageReuse:
-    """Level partitions and CBS skeletons computed so far in this
-    process, each map LRU-bounded by its module constant.
+    """Level partitions, CBS skeletons and routed CBS nets computed so
+    far in this process, each map LRU-bounded by its module constant.
 
     An object serves only the process that filled it: a forked copy
     empties itself on first use, and a pickled one arrives empty, so a
@@ -100,7 +121,7 @@ class StageReuse:
     def __init__(self) -> None:
         self._pid = os.getpid()
         self._entries: dict[str, OrderedDict] = {
-            kind: OrderedDict() for kind in (PARTITION, SKELETON)}
+            kind: OrderedDict() for kind in _KINDS}
 
     def __reduce__(self):
         return StageReuse, ()
@@ -127,6 +148,7 @@ class StageReuse:
         entries = self._own()[kind]
         entries[key] = value
         entries.move_to_end(key)
-        bound = PARTITION_ENTRIES if kind == PARTITION else SKELETON_ENTRIES
+        bound = {PARTITION: PARTITION_ENTRIES, SKELETON: SKELETON_ENTRIES,
+                 ROUTED: ROUTED_ENTRIES}[kind]
         while len(entries) > bound:
             entries.popitem(last=False)

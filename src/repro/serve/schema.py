@@ -148,10 +148,16 @@ def parse_request(data) -> ServeRequest:
 
 
 def parse_request_bytes(body: bytes) -> ServeRequest:
-    """Parse a raw JSON body; typed :class:`RequestError` throughout."""
+    """Parse a raw JSON body; typed :class:`RequestError` throughout.
+
+    Besides malformed JSON (a ``ValueError``, as is a body that is not
+    UTF-8), ``json.loads`` rejects an integer literal past Python's
+    digit limit with a plain ``ValueError`` and deep nesting with a
+    ``RecursionError``; all of them are the client's fault.
+    """
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise RequestError(f"request body is not valid JSON ({exc})") \
             from exc
     return parse_request(data)

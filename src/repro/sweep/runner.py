@@ -8,14 +8,17 @@ partitions the points into cache hits (served straight from the store,
 :class:`repro.parallel.WorkPool` when ``jobs != 1``; every point is a
 self-contained picklable :class:`PointTask` (the worker regenerates the
 design deterministically from its name and scale, so nothing heavy
-crosses the process boundary).  Each point's flow gets its share of the
-CPUs under a pooled sweep (usable CPUs // sweep workers, at least 1)
-and auto jobs under a serial one.
+crosses the process boundary), and one pool task runs a group of them
+(:func:`point_groups`).  Each point's flow gets its share of the CPUs
+under a pooled sweep (usable CPUs // sweep workers, at least 1) and
+auto jobs under a serial one.
 
 Points share what their knobs never reach: each ``run_sweep`` call
 makes one :class:`~repro.reuse.StageReuse`, which every point it runs
 in the parent uses, and which a pooled sweep installs as its pool's
 ``context``, so each worker keeps its own for the sweep's life.  A
+pooled sweep hands the points that share a level-0 partition to one
+worker together, so they also share its partition and routed nets.  A
 point then pays only for the stages its own knobs change; records are
 the same bytes either way (docs/SWEEP.md, "Reuse across points").
 
@@ -222,10 +225,41 @@ def compute_record(task: PointTask,
     )
 
 
-def _compute_in_worker(task: PointTask) -> PointOutcome:
-    """Execute one point in a sweep worker, against the worker's reuse
-    object (the pool's context)."""
-    return compute_record(task, worker_context())
+def _compute_group_in_worker(group: list[PointTask]) -> list[PointOutcome]:
+    """Execute a group of points in order in a sweep worker, against the
+    worker's reuse object (the pool's context)."""
+    reuse = worker_context()
+    return [compute_record(task, reuse) for task in group]
+
+
+def point_groups(tasks: list[PointTask],
+                 workers: int) -> list[list[PointTask]]:
+    """The pool tasks of a pooled sweep over ``workers`` workers.
+
+    Points that share a level-0 partition (same design, scale, ``seed``,
+    ``use_sa`` and ``sa_iterations``) form one group, so one worker
+    partitions it once and routes each level-0 net once per ``eps``.
+    Groups come in order of first appearance, points in point order.
+    Grouping needs at least two groups per worker, as
+    :func:`~repro.cts.framework.pool_pays` asks of cluster nets, so
+    every worker gets work to overlap; otherwise each point is its own
+    group.
+    """
+    groups: dict[tuple, list[PointTask]] = {}
+    for task in tasks:
+        point = task.point
+        groups.setdefault(
+            (point.design, point.scale, point.flow["seed"],
+             point.flow["use_sa"], point.flow["sa_iterations"]), [],
+        ).append(task)
+    if len(groups) < 2 * workers:
+        return [[task] for task in tasks]
+    return list(groups.values())
+
+
+def _group_label(group: list[PointTask]) -> str:
+    label = group[0].point.label()
+    return label if len(group) == 1 else f"{label} +{len(group) - 1}"
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +345,20 @@ def run_sweep(
                 # sweep workers x flow workers stays within budget
                 share = max(1, resolve_jobs(0) // pool.jobs)
                 tasks = [replace(task, flow_jobs=share) for task in tasks]
-                outcomes = pool.map(
-                    _compute_in_worker, tasks,
-                    describe=lambda t: t.point.label(),
-                    fallback=lambda t, _code, _detail:
-                        compute_record(t, reuse),
+                groups = point_groups(tasks, pool.jobs)
+                # --task-timeout budgets one point, so a group gets one
+                # budget per point of the largest group (0 stays 0)
+                done = pool.map(
+                    _compute_group_in_worker, groups,
+                    describe=_group_label,
+                    fallback=lambda group, _code, _detail:
+                        [compute_record(t, reuse) for t in group],
+                    timeout=pool.policy.task_timeout
+                    * max(map(len, groups)),
                 )
+            by_index = {outcome.index: outcome
+                        for group in done for outcome in group}
+            outcomes = [by_index[task.point.index] for task in tasks]
         else:
             # lazily, so each point is stored as soon as it finishes
             outcomes = (compute_record(task, reuse) for task in tasks)

@@ -25,6 +25,7 @@ from repro.cts.framework import ClusterTask, pool_pays
 from repro.geometry import Point
 from repro.obs import METRICS, TRACER, capture
 from repro.parallel import WorkPool, resolve_jobs, usable_cpus
+from repro.partition.kmeans import _BLOCK
 from repro.perf import make_uniform_sinks
 from repro.tech import Technology
 from repro.timing.elmore import ElmoreAnalyzer
@@ -378,7 +379,9 @@ def test_auto_pools_the_paying_levels_and_matches_serial(monkeypatch):
     assert len(seen["levels"][0]) == len(clusters)
 
 
-def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
+def _tiny_cluster_runs(monkeypatch, n):
+    """An auto and a serial run over ``n`` uniform sinks on 2 CPUs, with
+    clusters of at most 4 sinks; returns the pool spy and both runs."""
     seen = _spy_pools(monkeypatch, cpus=2)
     real_kmeans = framework.balanced_kmeans
 
@@ -390,7 +393,7 @@ def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
     # patched on the module, so the config still holds no callable
     monkeypatch.setattr(framework, "balanced_kmeans", tiny_kmeans)
     tech = Technology()
-    sinks, side = make_uniform_sinks(400, 0)
+    sinks, side = make_uniform_sinks(n, 0)
     source = Point(side / 2, side / 2)
 
     def run(jobs):
@@ -400,14 +403,33 @@ def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
     auto, serial = run(0), run(1)
     assert auto.levels
     assert all(level.max_net_fanout <= 4 for level in auto.levels)
-    assert seen["built"] == 1
+    assert quality(auto, tech) == quality(serial, tech)
+    return seen
+
+
+def test_auto_routes_levels_of_tiny_clusters_in_process(monkeypatch):
+    seen = _tiny_cluster_runs(monkeypatch, 400)
+    # 400 sinks are one spatial block, so auto builds no pool at all
+    assert seen["built"] == 0
     assert seen["levels"] == []
     assert seen["blocks"] == []
-    assert quality(auto, tech) == quality(serial, tech)
 
 
-@pytest.mark.parametrize("case", ["router", "one_cpu"])
+def test_auto_routes_levels_of_tiny_clusters_in_process_beside_a_pool(
+        monkeypatch):
+    """Past one spatial block auto builds the pool and k-means level 0's
+    two blocks in it, but routes no level of tiny clusters there."""
+    seen = _tiny_cluster_runs(monkeypatch, _BLOCK + 76)
+    assert seen["built"] == 1
+    assert seen["levels"] == []
+    assert seen["blocks"] == [2]
+
+
+@pytest.mark.parametrize("case", ["router", "one_cpu", "one_block"])
 def test_auto_builds_no_pool_where_it_cannot_pay(monkeypatch, case):
+    """Auto builds no pool for a user router, on one CPU, or for an
+    input of at most one spatial block; the first two run past that
+    size, so each rule is tested alone."""
     seen = _spy_pools(monkeypatch, cpus=1 if case == "one_cpu" else 2)
     tech = Technology()
     calls = []
@@ -419,7 +441,8 @@ def test_auto_builds_no_pool_where_it_cannot_pay(monkeypatch, case):
 
     config = FlowConfig(sa_iterations=50,
                         router=counting_router if case == "router" else None)
-    sinks, side = make_uniform_sinks(1000, 1)
+    sinks, side = make_uniform_sinks(
+        1000 if case == "one_block" else _BLOCK + 76, 1)
     source = Point(side / 2, side / 2)
     auto = HierarchicalCTS(tech=tech, config=config).run(list(sinks), source)
     auto_calls = len(calls)

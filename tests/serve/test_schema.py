@@ -132,6 +132,22 @@ def test_parse_bytes_round_trip_and_garbage():
         parse_request_bytes(b"\xff\xfe")
 
 
+#: Bodies under ``MAX_BODY`` that ``json.loads`` rejects with something
+#: other than ``JSONDecodeError``: a plain ``ValueError`` past Python's
+#: 4,300-digit integer limit, a ``RecursionError`` on deep nesting.
+HOSTILE_BODIES = {
+    "long_integer": (b'{"design": "s38584", "priority": 1'
+                     + b"0" * 5000 + b"}"),
+    "deep_nesting": b"[" * 60000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+def test_hostile_json_bodies_are_typed_rejections(name):
+    with pytest.raises(RequestError, match="not valid JSON"):
+        parse_request_bytes(HOSTILE_BODIES[name])
+
+
 @pytest.mark.parametrize("deadline", [float("inf"), float("nan"), 10**400])
 def test_non_finite_deadline_is_a_typed_rejection(deadline):
     """An infinite deadline used to pass validation and crash the

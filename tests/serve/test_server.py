@@ -41,6 +41,7 @@ from repro.serve import (
 from repro.sweep.runner import PointOutcome
 from repro.sweep.store import SweepStore, canonical_json
 from tests.cts.test_fabric import _assert_no_orphans
+from tests.serve.test_schema import HOSTILE_BODIES
 
 DESIGN = "s38584"
 
@@ -613,6 +614,29 @@ def test_http_oversize_header_is_413(tmp_path, monkeypatch, caplog, size):
         status, raw = _serve(tmp_path, scenario, monkeypatch, FakeFlow())
     assert status == 413
     assert json.loads(raw)["error"]["type"] == "Payload Too Large"
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.ERROR] == []
+
+
+@pytest.mark.parametrize("path", ["/v1/cts", "/v1/predict"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+def test_http_hostile_json_is_400_without_an_error_log(
+        tmp_path, monkeypatch, caplog, name, path):
+    """A body ``json.loads`` rejects with a plain ``ValueError`` or a
+    ``RecursionError`` used to escape as 500 "internal error", logged
+    with a traceback."""
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    flow = FakeFlow()
+
+    async def scenario(server):
+        return await _post(server.host, server.port, {}, path=path,
+                           raw_body=HOSTILE_BODIES[name])
+
+    with caplog.at_level(logging.ERROR, logger="repro"):
+        status, raw = _serve(tmp_path, scenario, monkeypatch, flow)
+    assert status == 400
+    assert json.loads(raw)["error"]["type"] == "RequestError"
+    assert flow.calls == 0
     assert [r.getMessage() for r in caplog.records
             if r.levelno >= logging.ERROR] == []
 

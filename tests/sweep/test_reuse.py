@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.parallel
 import repro.reuse
 import repro.sweep.runner
 from repro.core.cbs import cbs
@@ -32,7 +33,7 @@ from repro.netlist.net import ClockNet
 from repro.netlist.sink import Sink
 from repro.obs.metrics import METRICS
 from repro.parallel import WorkPool, worker_context
-from repro.reuse import PARTITION, SKELETON, StageReuse
+from repro.reuse import PARTITION, ROUTED, SKELETON, StageReuse
 from repro.sweep import SweepStore, run_sweep
 from repro.sweep.runner import PointTask, compute_record
 from repro.sweep.spec import load_spec, resolve_point
@@ -54,7 +55,8 @@ def _fresh_metrics():
 
 def _counts() -> dict[str, float]:
     return {f"{kind}_{what}": METRICS.counter(f"cts.reuse.{kind}_{what}")
-            for kind in (PARTITION, SKELETON) for what in ("hit", "miss")}
+            for kind in (PARTITION, SKELETON, ROUTED)
+            for what in ("hit", "miss")}
 
 
 def _sinks(n: int = 90, seed: int = 3) -> list[Sink]:
@@ -139,34 +141,44 @@ def test_points_with_reuse_equal_points_without(placement):
     assert shared == alone
     assert all('"status":"ok"' in r for r in shared)
     # the sharing happened: a placement that partitions at all shares
-    # level 0 among the 8 points of each seed, and every net below the
-    # top, or the top net itself, repeats its skeleton across eps
+    # level 0 among the 8 points of each seed and routes each level-0
+    # net once per eps and skew bound, and every level-0 net, or the top
+    # net of a flat placement, repeats its skeleton across eps
     counts = _counts()
-    assert counts["partition_hit"] + counts["partition_miss"] == 0 \
-        or counts["partition_hit"] >= 14
+    partitioned = counts["partition_hit"] + counts["partition_miss"] > 0
+    assert not partitioned or counts["partition_hit"] >= 14
+    assert not partitioned or counts["routed_hit"] > 0
     assert counts["skeleton_hit"] > 0
 
 
 def test_smoke_counts_in_point_order():
     """The smoke spec's 8 points in order, each flow serial: level 0
-    partitions once per seed, and each level-0 net's skeleton is built
-    once per seed."""
+    partitions once per seed; both seeds cut the same two level-0 nets,
+    so each is routed once per eps (the other 6 points copy it) and its
+    skeleton built once; driver nets are never looked up."""
     reuse = StageReuse()
     records = [compute_record(t, reuse).record
                for t in _tasks(load_spec(SMOKE).expand())]
     assert all(r["status"] == "ok" for r in records)
     assert _counts() == {"partition_hit": 6, "partition_miss": 2,
-                         "skeleton_hit": 14, "skeleton_miss": 10}
+                         "skeleton_hit": 2, "skeleton_miss": 2,
+                         "routed_hit": 12, "routed_miss": 4}
 
 
-def test_pooled_sweep_reuses_and_matches_the_expectation(tmp_path):
+def test_pooled_sweep_reuses_and_matches_the_expectation(tmp_path,
+                                                         monkeypatch):
+    # two CPUs: each point's flow runs serially in its sweep worker, so
+    # its level-0 nets route against that worker's reuse object
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
     report = run_sweep(load_spec(SMOKE), SweepStore(tmp_path), jobs=2)
     assert report.jsonl_path.read_bytes() == EXPECTED.read_bytes()
     counts = _counts()
     assert counts["partition_hit"] + counts["partition_miss"] == 8
     # at most one miss per seed per worker
     assert counts["partition_hit"] >= 4
-    assert counts["skeleton_hit"] > 0
+    # a worker that runs two points shares each level-0 net: as a routed
+    # tree at the same eps, as a skeleton at the other
+    assert counts["routed_hit"] + counts["skeleton_hit"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +251,8 @@ def test_each_sink_field_misses_both_stages(field):
     cbs(ClockNet("n", Point(60.0, 60.0), after[:30]), 20.0, 0.3, model,
         reuse=reuse)
     assert _counts() == {"partition_hit": 0, "partition_miss": 2,
-                         "skeleton_hit": 0, "skeleton_miss": 2}
+                         "skeleton_hit": 0, "skeleton_miss": 2,
+                         "routed_hit": 0, "routed_miss": 2}
 
 
 SKELETON_VARIANTS = {
@@ -262,12 +275,16 @@ def _cbs(reuse, *, source=Point(60.0, 60.0), skew_bound=20.0, eps=0.3,
 
 @pytest.mark.parametrize("name", sorted(SKELETON_VARIANTS))
 def test_each_skeleton_input_misses(name):
+    """Every input of the skeleton misses both the skeleton and the
+    routed tree, which is keyed by the same inputs plus eps."""
     reuse = StageReuse()
     base = dict(source=Point(0.0, 60.0)) \
         if name == "source_sign_of_zero" else {}
     _cbs(reuse, **base)
     _cbs(reuse, **SKELETON_VARIANTS[name])
-    assert _counts()["skeleton_hit"] == 0
+    counts = _counts()
+    assert counts["skeleton_hit"] == counts["routed_hit"] == 0
+    assert counts["routed_miss"] == 2
 
 
 def test_eps_hits_the_skeleton_and_routes_as_without_reuse():
@@ -276,7 +293,46 @@ def test_eps_hits_the_skeleton_and_routes_as_without_reuse():
     shared = _cbs(reuse, eps=0.7)
     alone = _cbs(None, eps=0.7)
     assert _counts()["skeleton_hit"] == 1
+    assert _counts()["routed_hit"] == 0
     assert _tree_state(shared) == _tree_state(alone)
+
+
+@pytest.mark.parametrize("before, after", [
+    (0.3, 0.30000000000000004), (1.0, 1), (0.0, -0.0)])
+def test_eps_misses_the_routed_tree_by_bits_and_type(before, after):
+    """An eps that differs in one bit, in type, or in the sign of zero
+    misses the routed tree (and hits the skeleton)."""
+    reuse = StageReuse()
+    _cbs(reuse, eps=before)
+    shared = _cbs(reuse, eps=after)
+    assert _counts() == {"partition_hit": 0, "partition_miss": 0,
+                         "skeleton_hit": 1, "skeleton_miss": 1,
+                         "routed_hit": 0, "routed_miss": 2}
+    assert _tree_state(shared) == _tree_state(_cbs(None, eps=after))
+
+
+def test_a_repeated_call_copies_the_routed_tree():
+    """The same inputs and eps again: the routed tree is served (no
+    skeleton lookup), as a copy equal to a call without reuse."""
+    reuse = StageReuse()
+    first = _cbs(reuse)
+    shared = _cbs(reuse)
+    assert _counts() == {"partition_hit": 0, "partition_miss": 0,
+                         "skeleton_hit": 0, "skeleton_miss": 1,
+                         "routed_hit": 1, "routed_miss": 1}
+    assert _tree_state(shared) == _tree_state(_cbs(None))
+    kept, = reuse._entries[ROUTED].values()
+    assert len({id(first), id(shared), id(kept)}) == 3
+    assert not {id(node) for node in shared.nodes.values()} \
+        & {id(node) for node in kept.nodes.values()}
+
+
+def test_a_call_that_raises_keeps_no_routed_tree():
+    reuse = StageReuse()
+    with pytest.raises(ValueError):
+        _cbs(reuse, eps=-1.0)
+    assert not reuse._entries[ROUTED]
+    assert _counts()["routed_miss"] == 1
 
 
 def test_unknown_delay_models_and_given_topologies_are_not_kept():
@@ -289,8 +345,10 @@ def test_unknown_delay_models_and_given_topologies_are_not_kept():
         _cbs(reuse, model=Scaled(Technology()))
         _cbs(reuse, topology=TOPOLOGY_GENERATORS["greedy_dist"])
     assert _counts() == {"partition_hit": 0, "partition_miss": 0,
-                         "skeleton_hit": 0, "skeleton_miss": 0}
+                         "skeleton_hit": 0, "skeleton_miss": 0,
+                         "routed_hit": 0, "routed_miss": 0}
     assert not reuse._entries[SKELETON]
+    assert not reuse._entries[ROUTED]
 
 
 @pytest.mark.parametrize("knobs", [
@@ -298,8 +356,9 @@ def test_unknown_delay_models_and_given_topologies_are_not_kept():
     {"repair_budget": 0}, {"use_insertion_estimate": False},
 ])
 def test_knobs_the_stages_never_read_hit_at_level_0(knobs):
-    """Flows that differ only in a knob neither stage reads share the
-    level-0 partition and every level-0 skeleton."""
+    """Flows that differ only in a knob no stage reads share the level-0
+    partition and copy every level-0 routed net; flows that differ in
+    eps share every level-0 skeleton instead."""
     reuse = StageReuse()
     sinks = _sinks(150)
 
@@ -316,7 +375,36 @@ def test_knobs_the_stages_never_read_hit_at_level_0(knobs):
     run(config, library)
     level0 = first.levels[0].num_clusters
     assert METRICS.counter("cts.reuse.partition_hit") >= 1
-    assert METRICS.counter("cts.reuse.skeleton_hit") >= level0
+    if "eps" in knobs:
+        assert METRICS.counter("cts.reuse.skeleton_hit") >= level0
+    else:
+        assert METRICS.counter("cts.reuse.routed_hit") >= level0
+
+
+def test_only_nets_of_the_designs_own_sinks_are_kept():
+    """A driver net's sinks carry caps and subtree delays that follow
+    eps and the library, so no kept entry has a driver net's key after
+    a flow of three levels; a flat placement's top net, whose sinks are
+    the design's own, is still shared."""
+    reuse = StageReuse()
+    sinks = _sinks(150)
+    result = HierarchicalCTS(constraints=replace(TABLE5, max_fanout=8),
+                             jobs=1, reuse=reuse).run(sinks,
+                                                      Point(60.0, 60.0))
+    assert len(result.levels) >= 2
+    names = {sink.name for sink in sinks}
+    for kind in (SKELETON, ROUTED):
+        kept = reuse._entries[kind]
+        assert len(kept) >= result.levels[0].num_clusters
+        assert all(set(key[0]) <= names for key in kept), kind
+
+    flat = _sinks(20)
+    METRICS.reset()
+    for library in ("default", "lean"):
+        engine = HierarchicalCTS(library=load_library(library), jobs=1,
+                                 reuse=reuse)
+        assert not engine.run(flat, Point(60.0, 60.0)).levels
+    assert _counts()["routed_hit"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +435,8 @@ def test_a_partition_that_recorded_events_is_never_kept(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, bound", [(PARTITION, "PARTITION_ENTRIES"),
-                                         (SKELETON, "SKELETON_ENTRIES")])
+                                         (SKELETON, "SKELETON_ENTRIES"),
+                                         (ROUTED, "ROUTED_ENTRIES")])
 def test_the_least_recently_used_entry_is_evicted(monkeypatch, kind, bound):
     monkeypatch.setattr(repro.reuse, bound, 2)
     reuse = StageReuse()
@@ -359,17 +448,29 @@ def test_the_least_recently_used_entry_is_evicted(monkeypatch, kind, bound):
     assert reuse.get(kind, "b") is None
 
 
-def test_kept_skeletons_are_never_mutated():
+def _assert_kept_trees_unchanged(kind):
+    """The flow buffers, re-sizes and repairs every tree it routes; what
+    the smoke spec's first point keeps of ``kind`` stays as it was kept
+    while the other seven points hit it."""
     reuse = StageReuse()
     tasks = _tasks(load_spec(SMOKE).expand())
     compute_record(tasks[0], reuse)
     kept = {key: _tree_state(tree)
-            for key, tree in reuse._entries[SKELETON].items()}
+            for key, tree in reuse._entries[kind].items()}
+    assert kept
     for task in tasks[1:]:
         compute_record(task, reuse)
-    assert METRICS.counter("cts.reuse.skeleton_hit") > 0
+    assert METRICS.counter(f"cts.reuse.{kind}_hit") > 0
     for key, state in kept.items():
-        assert _tree_state(reuse._entries[SKELETON][key]) == state
+        assert _tree_state(reuse._entries[kind][key]) == state
+
+
+def test_kept_skeletons_are_never_mutated():
+    _assert_kept_trees_unchanged(SKELETON)
+
+
+def test_kept_routed_trees_are_never_mutated():
+    _assert_kept_trees_unchanged(ROUTED)
 
 
 def test_a_pickled_copy_arrives_empty():
@@ -395,4 +496,5 @@ def test_pool_workers_start_empty():
 def test_flows_outside_a_sweep_count_no_lookups():
     HierarchicalCTS(jobs=1).run(_sinks(60), Point(60.0, 60.0))
     assert _counts() == {"partition_hit": 0, "partition_miss": 0,
-                         "skeleton_hit": 0, "skeleton_miss": 0}
+                         "skeleton_hit": 0, "skeleton_miss": 0,
+                         "routed_hit": 0, "routed_miss": 0}

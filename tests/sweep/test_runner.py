@@ -10,6 +10,8 @@ the bumps land only in the ``RunHealth`` sidecar.
 
 import json
 import logging
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.designs import load_design
 from repro.obs.metrics import METRICS
 from repro.resilience import FabricChaos, FabricPolicy
 from repro.sweep import SweepSpec, SweepStore, pareto_front, run_sweep
+from repro.sweep.spec import load_spec
 from repro.tech import Technology
 
 
@@ -315,3 +318,112 @@ def test_default_config_pooled_sweep_clamps_silently(
         report = run_sweep(_spec(), SweepStore(tmp_path), jobs=2)
     assert report.failed == 0 and report.cache_misses == 4
     assert not caplog.records
+
+
+# ----------------------------------------------------------------------
+# Point groups: points that share a level-0 partition share a worker
+# ----------------------------------------------------------------------
+SMOKE = Path(__file__).resolve().parents[2] / "examples" / "sweep_smoke.json"
+
+
+def _smoke(seeds) -> SweepSpec:
+    """The smoke spec (s38584@0.05, eps x seed x library) over
+    ``seeds``: one partition group per seed."""
+    spec = load_spec(SMOKE)
+    return replace(spec, grid=dict(spec.grid, seed=list(seeds)))
+
+
+def _spy_groups(monkeypatch, before=None):
+    """Pin the CPU budget at 2 (each point's flow runs serially in its
+    sweep worker) and record every pool map's groups, as point indices,
+    with its timeout; ``before(pool, groups)`` runs ahead of the map."""
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 2)
+    calls = []
+    real = repro.parallel.WorkPool.map
+
+    def spy(self, fn, tasks, **kwargs):
+        calls.append(([[task.point.index for task in group]
+                       for group in tasks], kwargs.get("timeout")))
+        if before is not None:
+            before(self, tasks)
+        return real(self, fn, tasks, **kwargs)
+
+    monkeypatch.setattr(repro.parallel.WorkPool, "map", spy)
+    return calls
+
+
+def test_points_sharing_a_partition_run_as_one_group(tmp_path, monkeypatch):
+    """Four seeds on two workers: four groups of four points, each
+    partitioned once in its worker, and the same bytes as a serial
+    run."""
+    calls = _spy_groups(monkeypatch)
+    spec = _smoke(range(4))
+    serial = run_sweep(spec, SweepStore(tmp_path / "serial"), jobs=1)
+    assert calls == []
+    METRICS.reset()
+    pooled = run_sweep(spec, SweepStore(tmp_path / "pooled"), jobs=2)
+
+    (groups, _timeout), = calls
+    seed = {point.index: point.flow["seed"] for point in pooled.points}
+    assert len(groups) == 4
+    assert all(len({seed[i] for i in group}) == 1 for group in groups)
+    assert all(group == sorted(group) for group in groups)
+    assert [group[0] for group in groups] == sorted(g[0] for g in groups)
+    assert sorted(i for group in groups for i in group) == list(range(16))
+
+    assert pooled.failed == serial.failed == 0
+    assert pooled.jsonl_path.read_bytes() == serial.jsonl_path.read_bytes()
+    assert _store_bytes(tmp_path / "pooled") == \
+        _store_bytes(tmp_path / "serial")
+    assert METRICS.counter("cts.reuse.partition_miss") == 4
+    assert METRICS.counter("cts.reuse.partition_hit") == 12
+    assert METRICS.counter("cts.reuse.routed_hit") > 0
+
+
+@pytest.mark.parametrize("spec", [_spec, lambda: _smoke([0, 1])],
+                         ids=["unit", "smoke"])
+def test_two_groups_on_two_workers_run_one_task_per_point(
+        tmp_path, monkeypatch, spec):
+    calls = _spy_groups(monkeypatch)
+    report = run_sweep(spec(), SweepStore(tmp_path), jobs=2)
+    (groups, _timeout), = calls
+    assert groups == [[i] for i in range(len(report.points))]
+
+
+@pytest.mark.parametrize("seeds, task_timeout, deadline", [
+    (range(4), 30.0, 120.0), ([0, 1], 30.0, 30.0), (range(4), 0.0, 0.0)])
+def test_a_group_gets_one_deadline_per_point(tmp_path, monkeypatch, seeds,
+                                             task_timeout, deadline):
+    """``task_timeout`` budgets one point, so the map's deadline is it
+    times the largest group's point count (0 stays disarmed)."""
+    calls = _spy_groups(monkeypatch)
+    run_sweep(_smoke(seeds), SweepStore(tmp_path), jobs=2,
+              policy=FabricPolicy(task_timeout=task_timeout))
+    (_groups, timeout), = calls
+    assert timeout == deadline
+
+
+def test_killed_and_quarantined_groups_leave_records_byte_identical(
+        tmp_path, monkeypatch):
+    def quarantine_second(pool, groups):
+        pool._quarantined.add(repro.sweep.runner._group_label(groups[1]))
+
+    spec = _smoke(range(4))
+    calls = _spy_groups(monkeypatch)
+    clean = run_sweep(spec, SweepStore(tmp_path / "clean"), jobs=1)
+    # seed 7 trips the first submission, so a worker dies mid-group
+    killed = run_sweep(spec, SweepStore(tmp_path / "kill"), jobs=2,
+                       policy=FabricPolicy(pool_rebuilds=4),
+                       chaos=FabricChaos(0.5, seed=7, modes=("kill",)))
+    assert killed.health.count("resurrect") >= 1
+    _spy_groups(monkeypatch, before=quarantine_second)
+    quarantined = run_sweep(spec, SweepStore(tmp_path / "quarantine"),
+                            jobs=2)
+    # the quarantined group ran in the parent, each point in order
+    assert quarantined.health.count("degraded") == 1
+    assert len(calls[0][0]) == 4
+    for run, root in ((killed, "kill"), (quarantined, "quarantine")):
+        assert run.failed == 0
+        assert run.jsonl_path.read_bytes() == clean.jsonl_path.read_bytes()
+        assert _store_bytes(tmp_path / root) == \
+            _store_bytes(tmp_path / "clean")
